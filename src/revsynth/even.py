@@ -1,23 +1,31 @@
 """Even-permutation synthesis on exactly n lines, no extra inputs.
 
 An even permutation decomposes into primed shift/swap tokens with an even
-count of each kind, so the token stream splits into adjacent pairs. Each
-pair kind has a line-exact realization: doubled swaps cancel, doubled
-shifts become an increment on the high lines, and the two mixed pairs
-become an increment ladder joined to a single fused gate that combines the
-top-state swap with a full-width controlled NOT. Every gate leaves at
-least one of the n lines untouched, so macro expansion borrows within the
-circuit and the width never grows.
+count of each kind. Token reduction keeps both counts even, so the reduced
+stream still splits into adjacent pairs. Each pair kind has a line-exact
+realization: doubled swaps cancel, doubled shifts become an increment on
+the high lines, and the two mixed pairs become an increment ladder joined
+to a single fused gate that combines the top-state swap with a full-width
+controlled NOT. A run of doubled shifts becomes one add-constant block on
+the high lines. Every gate leaves at least one of the n lines untouched,
+so macro expansion borrows within the circuit and the width never grows.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 
 from .circuit import Circuit, GateInstance, cknot
 from .errors import OddPermutationError, OddTokenCountError, WidthOutOfRangeError
-from .generators import TransformToken, decompose_generators
+from .generators import (
+    TransformToken,
+    decompose_generators,
+    expand_runs,
+    reduce_tokens,
+)
 from .permutation import MAX_WIDTH, Permutation
+from .toffoli import increment, synth_add_constant
 
 EVEN_MIN_WIDTH = 3
 
@@ -64,22 +72,6 @@ def pair_tokens(tokens: list[TransformToken]) -> list[TokenPair]:
     ]
 
 
-def _increment_high_lines(n: int) -> tuple[GateInstance, ...]:
-    """Add 1 to the register formed by lines 1..n-1, widest gate first;
-    line n is untouched (it serves as the borrowed line on expansion)."""
-    return tuple(
-        cknot(tuple(range(t + 1, n)), t) for t in range(1, n)
-    )
-
-
-def _increment_low_lines(n: int) -> tuple[GateInstance, ...]:
-    """Add 1 to the register formed by lines 2..n, widest gate first;
-    line 1 is untouched."""
-    return tuple(
-        cknot(tuple(range(n - j + 1, n + 1)), n - j) for j in range(n - 2, -1, -1)
-    )
-
-
 def synth_fused(n: int) -> Circuit:
     """Fragment combining the top-state swap with the full controlled NOT.
 
@@ -102,30 +94,33 @@ def synth_fused(n: int) -> Circuit:
 def synth_pair(pair: TokenPair, n: int) -> Circuit:
     """Line-exact fragment for one token pair on n lines.
 
-    M1 is empty (the swaps cancel); M2 increments the high n-1 lines (the
-    shifts compose to +2); M3 and M4 join the low-line increment ladder
-    with the fused gate — fused first for swap-then-shift, and after a
-    leading high-half CKNOT for shift-then-swap.
+    M1 is empty (the swaps cancel); M2 increments the high lines 1..n-1
+    and leaves line n untouched (the shifts compose to +2); M3 and M4 join
+    the increment ladder on the low lines 2..n with the fused gate — fused
+    first for swap-then-shift, and after a leading high-half CKNOT for
+    shift-then-swap.
     """
     if n < EVEN_MIN_WIDTH:
         raise WidthOutOfRangeError(f"pair synthesis needs width >= 3, got {n}")
     if pair is TokenPair.M1:
         return Circuit(n, ())
     if pair is TokenPair.M2:
-        return Circuit(n, _increment_high_lines(n))
+        return Circuit(n, increment(range(1, n)))
     if pair is TokenPair.M3:
-        return Circuit(n, synth_fused(n).gates + _increment_low_lines(n))
+        return Circuit(n, synth_fused(n).gates + increment(range(2, n + 1)))
     head = cknot(tuple(range(2, n)), 1)
     tail = tuple(reversed(synth_fused(n).gates))
-    return Circuit(n, (head,) + _increment_low_lines(n) + tail)
+    return Circuit(n, (head,) + increment(range(2, n + 1)) + tail)
 
 
 def synth_even(p: Permutation) -> Circuit:
     """Compile an even permutation to a VTOF netlist on exactly its own
     width: no ancilla, no borrowed lines.
 
-    Pipeline: primed generator decomposition, adjacent-pair grouping, one
-    fragment per pair, then macro expansion borrowing free data lines.
+    Pipeline: primed generator decomposition, token reduction, adjacent-pair
+    grouping, one fragment per mixed pair and one add-constant block on the
+    high lines 1..n-1 per maximal run of doubled shifts, then macro
+    expansion borrowing free data lines.
     """
     n = p.width
     if not EVEN_MIN_WIDTH <= n <= MAX_WIDTH:
@@ -134,10 +129,16 @@ def synth_even(p: Permutation) -> Circuit:
         )
     if not p.is_even():
         raise OddPermutationError("permutation is odd")
-    tokens = decompose_generators(p, "primed")
+    tokens = expand_runs(reduce_tokens(decompose_generators(p, "primed"), n))
+    high = range(1, n)
     gates: list[GateInstance] = []
-    for pair in pair_tokens(tokens):
-        gates.extend(synth_pair(pair, n).gates)
+    for pair, run in itertools.groupby(pair_tokens(tokens)):
+        if pair is TokenPair.M2:
+            # m doubled shifts add 2m: m on the high lines, modulo 2**(n-1).
+            gates.extend(synth_add_constant(len(list(run)), high))
+        else:
+            for _ in run:
+                gates.extend(synth_pair(pair, n).gates)
     macro = Circuit(n, tuple(gates))
     from .expand import expand_macros
 

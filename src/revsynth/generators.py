@@ -12,12 +12,19 @@ permutations, in either of two variants:
 cancellation: transpositions, then adjacent swaps, then for each adjacent
 swap a shift-conjugated generator pair. Every adjacent swap costs exactly
 one ``T1`` (or ``T1'``) and ``2**n`` shifts, so an even permutation always
-yields even counts of both primed tokens.
+yields even counts of both primed tokens. It stays literal as the
+reference.
+
+``reduce_tokens`` is the separate pass the synthesis routes compile from:
+it folds the stream into runs, reducing each shift run mod ``2**n`` and
+cancelling swaps that meet. Both changes remove an even number of tokens
+of one kind, so the parity of each count survives.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 
 from .permutation import Permutation
 
@@ -31,10 +38,13 @@ class TransformToken(str, enum.Enum):
     T2P = "T2'"
 
 
+_SHIFTS = (TransformToken.T2, TransformToken.T2P)
+
+
 def token_permutation(token: TransformToken, width: int) -> Permutation:
     """The permutation a single token denotes at the given width."""
     size = 1 << width
-    if token in (TransformToken.T2, TransformToken.T2P):
+    if token in _SHIFTS:
         return Permutation(width, tuple((x + 1) % size for x in range(size)))
     lo = 0 if token is TransformToken.T1 else size - 2
     mapping = list(range(size))
@@ -101,3 +111,32 @@ def decompose_generators(p: Permutation, variant: str = "standard") -> list[Tran
     for i, j in p.to_transpositions():
         out.extend(transposition_tokens(i, j, p.width, variant))
     return out
+
+
+def reduce_tokens(
+    tokens: list[TransformToken], width: int
+) -> list[tuple[TransformToken, int]]:
+    """Fold a token stream into ``(token, count)`` runs of the same
+    composition.
+
+    A stack pass over the stream's runs: a run joins the run of the same
+    token on top, and the count is reduced modulo the token's order
+    (``2**width`` for a shift, 2 for a swap); a run reduced to 0 is
+    dropped. Cancellation cascades, because whatever a dropped run exposed
+    meets the next run. In the result no count is 0 or ``>= 2**width``,
+    swaps have count 1, and no two neighbouring runs share a token.
+    """
+    out: list[tuple[TransformToken, int]] = []
+    for tok, run in itertools.groupby(tokens):
+        count = len(list(run))
+        if out and out[-1][0] is tok:
+            count += out.pop()[1]
+        count %= (1 << width) if tok in _SHIFTS else 2
+        if count:
+            out.append((tok, count))
+    return out
+
+
+def expand_runs(runs: list[tuple[TransformToken, int]]) -> list[TransformToken]:
+    """The token list a run list stands for."""
+    return [tok for tok, count in runs for _ in range(count)]

@@ -1,10 +1,12 @@
 """VTOF-alphabet synthesis: any permutation on n+1 lines, one borrowed line.
 
 Building blocks are gate-list fragments over explicit lines (NOT, CNOT,
-CCNOT, and the recursive multi-controlled NOT), plus the two generator
-circuits: ``synth_t1`` swaps states 0 and 1 and ``synth_t2`` adds 1 mod
-``2**n``. ``synth_general`` chains them per the generator decomposition of
-the target and lowers everything to VTOF gates.
+CCNOT, and the recursive multi-controlled NOT), the increment ladder that
+adds 1 to a register of lines, and the blocks built from it: ``synth_t1``
+swaps states 0 and 1, ``synth_t2`` adds 1 mod ``2**n`` and
+``synth_add_constant`` adds any constant. ``synth_general`` chains them per
+the reduced generator decomposition of the target and lowers everything to
+VTOF gates.
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -17,7 +19,7 @@ from typing import Sequence
 
 from .circuit import Circuit, GateInstance, LineRole, cknot, not_gate, vtof
 from .errors import InsufficientLinesError, WidthOutOfRangeError
-from .generators import TransformToken, decompose_generators
+from .generators import TransformToken, decompose_generators, reduce_tokens
 from .permutation import Permutation
 
 GENERAL_MIN_WIDTH = 3
@@ -64,9 +66,12 @@ def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
     ``lines`` is ``k`` controls, the target, then the free lines the
     construction may use as helpers (restored for both values, so borrowed
     lines qualify). Needs two free lines when ``k == 0``, one when
-    ``k == 1`` or ``k >= 3``, none when ``k == 2``. The recursion halves
-    ``k`` against a single free line: each level re-borrows its own split
-    control and target for the level below.
+    ``k == 1`` or ``k >= 3``, none when ``k == 2``. For ``k >= 3`` the
+    recursion peels off the last control against a single free line ``x``:
+    the ``k - 1``-control child (with ``x`` standing in for that control,
+    and the peeled control as its target) runs twice, each time followed by
+    a Toffoli joining the peeled control and ``x`` into the target. Size is
+    ``T(k) = 2 T(k - 1) + 10`` gates, ``T(2) = 5``: it doubles per control.
     """
     if k < 0:
         raise ValueError(f"control count must be nonnegative, got {k}")
@@ -119,28 +124,61 @@ def synth_t1_top(n: int) -> Circuit:
     return Circuit(n, (cknot(tuple(range(1, n)), n),))
 
 
-def synth_t2(n: int) -> Circuit:
-    """Add 1 mod ``2**n`` (macro level, n lines).
+def increment(lines: Sequence[int]) -> tuple[GateInstance, ...]:
+    """Add 1 to the register formed by ``lines`` (MSB first), modulo
+    ``2**len(lines)``; every other line is untouched.
 
     One CKNOT per carry length, emitted widest first so every gate reads
-    the original low bits: the gate targeting line ``n - j`` fires iff all
-    ``j`` lines below it are 1.
+    the original low bits: the gate targeting ``lines[i]`` fires iff all
+    lines after it are 1. Each gate is self-inverse, so the reversed
+    ladder subtracts 1.
     """
+    return tuple(cknot(lines[i + 1:], lines[i]) for i in range(len(lines)))
+
+
+def synth_add_constant(r: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
+    """Add ``r`` to the register formed by ``lines`` (MSB first), modulo
+    ``2**len(lines)``; every other line is untouched.
+
+    ``r`` is written in non-adjacent form (signed binary with no two
+    neighbouring nonzero digits), so at most ``(len(lines) + 1) // 2``
+    digits are nonzero. A digit ``+-2**j`` adds or subtracts 1 on the top
+    ``len(lines) - j`` lines, i.e. one increment ladder or its reverse.
+    """
+    m = len(lines)
+    r %= 1 << m
+    gates: list[GateInstance] = []
+    j = 0
+    while r:
+        if r & 1:
+            step = increment(lines[: m - j])
+            if r & 2:  # digit -1: r = 4q + 3 continues as 4q + 4
+                gates.extend(reversed(step))
+                r += 1
+            else:
+                gates.extend(step)
+                r -= 1
+        r >>= 1
+        j += 1
+    return tuple(gates)
+
+
+def synth_t2(n: int) -> Circuit:
+    """Add 1 mod ``2**n`` (macro level, n lines): the increment ladder on
+    lines 1..n."""
     if n < 1:
         raise WidthOutOfRangeError(f"t2 needs width >= 1, got {n}")
-    gates = tuple(
-        cknot(tuple(range(n - j + 1, n + 1)), n - j) for j in range(n - 1, -1, -1)
-    )
-    return Circuit(n, gates)
+    return Circuit(n, increment(range(1, n + 1)))
 
 
 def synth_general(p: Permutation) -> Circuit:
     """Compile any permutation to a VTOF netlist on ``width + 1`` lines.
 
     The extra line is borrowed: it may hold either value and is always
-    restored. Pipeline: generator decomposition, one t1/t2 macro block per
-    token, then macro expansion (full-width CKNOTs borrow the extra line;
-    narrower ones borrow a free data line).
+    restored. Pipeline: generator decomposition, token reduction, one t1
+    block per swap and one add-constant block on lines 1..n per shift run,
+    then macro expansion (full-width CKNOTs borrow the extra line; narrower
+    ones borrow a free data line).
     """
     n = p.width
     if not GENERAL_MIN_WIDTH <= n <= GENERAL_MAX_WIDTH:
@@ -149,10 +187,16 @@ def synth_general(p: Permutation) -> Circuit:
             f"{GENERAL_MIN_WIDTH}..{GENERAL_MAX_WIDTH}, got {n}"
         )
     t1_gates = synth_t1(n).gates
-    t2_gates = synth_t2(n).gates
+    data = range(1, n + 1)
+    blocks: dict[int, tuple[GateInstance, ...]] = {}  # shift counts repeat
     gates: list[GateInstance] = []
-    for tok in decompose_generators(p, "standard"):
-        gates.extend(t1_gates if tok is TransformToken.T1 else t2_gates)
+    for tok, count in reduce_tokens(decompose_generators(p, "standard"), n):
+        if tok is TransformToken.T1:
+            gates.extend(t1_gates)
+        else:
+            if count not in blocks:
+                blocks[count] = synth_add_constant(count, data)
+            gates.extend(blocks[count])
     macro = Circuit(
         n + 1,
         tuple(gates),

@@ -55,6 +55,17 @@ def test_synth_general_report_text(perm3, tmp_path, capsys):
     assert verify_realizes(c, p).passed
 
 
+def test_readme_example_gate_count(tmp_path, capsys):
+    # The README's CLI example, frozen: a change in emitted size must
+    # update the README with it.
+    perm = tmp_path / "p.perm"
+    out = tmp_path / "p.netlist"
+    assert main(["sample", "--width", "3", "--seed", "1", "--out", str(perm)]) == 0
+    capsys.readouterr()
+    assert main(["synth", str(perm), "--general", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[4] == "primitive_gates: 694"
+
+
 def test_synth_even_rejects_odd_permutation(tmp_path, capsys):
     odd = Permutation.from_cycle(3, (0, 1))
     path = tmp_path / "odd.perm"

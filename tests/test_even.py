@@ -122,7 +122,7 @@ def test_even_synthesis_uses_no_extra_lines():
     assert all(g.kind is GateKind.VTOF for g in c.gates)
 
 
-@pytest.mark.parametrize("width", [3, 4])
+@pytest.mark.parametrize("width", [3, 4, 5])
 def test_even_synthesis_verifies(width: int):
     rng = random.Random(29)
     for _ in range(6):

@@ -12,6 +12,8 @@ from revsynth.generators import (
     adjacent_swap_tokens,
     compose_tokens,
     decompose_generators,
+    expand_runs,
+    reduce_tokens,
     token_permutation,
     transposition_tokens,
 )
@@ -143,3 +145,43 @@ def test_even_permutations_give_even_token_counts():
 def test_decompose_rejects_unknown_variant():
     with pytest.raises(ValueError):
         decompose_generators(Permutation.identity(2), "mixed")
+
+
+def test_reduce_tokens_frozen_example():
+    # Width 2: four shifts make a full cycle and vanish, which brings the
+    # two swaps together; they cancel, and the shift runs around them merge.
+    toks = [T2, T2, T1, T2, T2, T2, T2, T1, T2]
+    assert reduce_tokens(toks, 2) == [(T2, 3)]
+    assert reduce_tokens([T2] * 9, 2) == [(T2, 1)]
+    assert reduce_tokens([T1P, T2P, T2P, T1P], 1) == []
+    assert reduce_tokens([], 3) == []
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "variant, kind, swap_tok, shift",
+    # Each variant on the permutations of the route that compiles from it.
+    [("standard", "any", T1, T2), ("primed", "even", T1P, T2P)],
+)
+def test_reduce_tokens_keeps_composition_and_parity(
+    width, variant, kind, swap_tok, shift
+):
+    size = 1 << width
+    p = sample_permutation(width, kind, seed=1000 * width + size)
+    literal = decompose_generators(p, variant)
+    runs = reduce_tokens(literal, width)
+    reduced = expand_runs(runs)
+    # Composing the literal stream costs seconds at width 6; there the
+    # reference is p itself, which the literal stream composes to.
+    want = compose_tokens(literal, width) if width < 6 else p
+    assert compose_tokens(reduced, width).mapping == want.mapping
+    for tok in (swap_tok, shift):
+        assert reduced.count(tok) % 2 == literal.count(tok) % 2
+        if kind == "even":
+            assert reduced.count(tok) % 2 == 0
+    for tok, count in runs:
+        assert 0 < count < size
+        if tok is swap_tok:
+            assert count == 1
+    assert all(a[0] is not b[0] for a, b in zip(runs, runs[1:]))
+    assert len(reduced) < len(literal)

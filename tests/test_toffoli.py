@@ -17,6 +17,8 @@ from revsynth.errors import InsufficientLinesError, WidthOutOfRangeError
 from revsynth.generators import TransformToken, token_permutation
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.toffoli import (
+    increment,
+    synth_add_constant,
     synth_ccnot,
     synth_cknot,
     synth_cnot,
@@ -123,6 +125,56 @@ def test_t2_block_increments():
         assert circuit_to_permutation(c).mapping == want.mapping
 
 
+def add_constant_permutation(width: int, lines, r: int) -> Permutation:
+    """Oracle: add ``r`` to the register read MSB-first from ``lines``,
+    every other line unchanged."""
+    m = len(lines)
+    mapping = []
+    for x in range(1 << width):
+        value = 0
+        for l in lines:
+            value = (value << 1) | ((x >> (width - l)) & 1)
+        value = (value + r) % (1 << m)
+        for i, l in enumerate(lines):
+            bit = (value >> (m - 1 - i)) & 1
+            x = (x & ~(1 << (width - l))) | (bit << (width - l))
+        mapping.append(x)
+    return Permutation(width, mapping)
+
+
+def test_increment_is_the_t2_ladder_on_any_lines():
+    assert increment(range(1, 5)) == synth_t2(4).gates
+    assert increment(()) == ()
+    width, lines = 5, (4, 1, 5)
+    assert realized(width, increment(lines)).mapping == (
+        add_constant_permutation(width, lines, 1).mapping
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_add_constant_adds_every_constant(m: int):
+    # The register sits on scattered lines in a wider circuit, so lines
+    # outside it are checked to stay untouched.
+    width = m + 2
+    lines = tuple(random.Random(m).sample(range(1, width + 1), m))
+    for r in range(1 << m):
+        gates = synth_add_constant(r, lines)
+        assert all(set(g.lines) <= set(lines) for g in gates)
+        want = add_constant_permutation(width, lines, r)
+        assert realized(width, gates).mapping == want.mapping, r
+    assert synth_add_constant(-1, lines) == synth_add_constant((1 << m) - 1, lines)
+
+
+@pytest.mark.parametrize(
+    "r, count",
+    # Non-adjacent form: 7 = 8 - 1 and 11 = 16 - 4 - 1 (modulo 16) cost
+    # one partial ladder each per nonzero digit; 5 = 4 + 1.
+    [(0, 0), (1, 4), (7, 5), (5, 6), (11, 6), (15, 4)],
+)
+def test_add_constant_frozen_counts(r: int, count: int):
+    assert len(synth_add_constant(r, (1, 2, 3, 4))) == count
+
+
 def test_t_blocks_reject_tiny_widths():
     with pytest.raises(WidthOutOfRangeError):
         synth_t1(1)
@@ -154,6 +206,14 @@ def test_general_synthesis_handles_odd_permutations_at_width_four():
     assert not odd.is_even()
     report = verify_realizes(synth_general(odd), odd)
     assert report.passed, report.counterexample
+
+
+def test_general_synthesis_verifies_at_widths_five_and_six():
+    for width in (5, 6):
+        p = sample_permutation(width, "any", seed=width)
+        c = synth_general(p)
+        assert c.width == width + 1
+        assert verify_realizes(c, p).passed
 
 
 def test_general_synthesis_width_bounds():

@@ -64,8 +64,6 @@ from .expand import expand_macros
 from .fredkin import (
     hamming_path,
     synth_ckswap,
-    synth_ckswap_ancilla,
-    synth_ckswap_borrowed_pair,
     synth_conservative,
     synth_transposition,
 )
@@ -76,7 +74,6 @@ from .permutation import (
     MIN_WIDTH,
     Permutation,
     format_permutation,
-    parity,
     parse_permutation,
     sample_permutation,
 )
@@ -87,7 +84,6 @@ from .toffoli import (
     synth_general,
     synth_not,
     synth_t1,
-    synth_t2,
 )
 from .verify import SynthesisReport, verify_realizes
 from .weights import (
@@ -146,7 +142,6 @@ __all__ = [
     "independence_check",
     "not_gate",
     "pair_tokens",
-    "parity",
     "parity_vector",
     "parse_permutation",
     "read_netlist",
@@ -158,8 +153,6 @@ __all__ = [
     "synth_ccnot",
     "synth_cknot",
     "synth_ckswap",
-    "synth_ckswap_ancilla",
-    "synth_ckswap_borrowed_pair",
     "synth_cnot",
     "synth_conservative",
     "synth_even",
@@ -168,7 +161,6 @@ __all__ = [
     "synth_not",
     "synth_pair",
     "synth_t1",
-    "synth_t2",
     "synth_transposition",
     "verify_realizes",
     "vtof",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, ckswap, circuit_to_permutation
 from .errors import RangeError, WidthOutOfRangeError
-from .permutation import MAX_WIDTH, Permutation
+from .permutation import MAX_WIDTH, Permutation, transpositions
 from .weights import weight_decompose
 
 
@@ -51,29 +51,12 @@ class ParityVector:
         )
 
 
-def _mapping_parity(mapping) -> int:
-    """Parity (1 = odd) of a permutation given as an index sequence."""
-    seen = [False] * len(mapping)
-    parity = 0
-    for start in range(len(mapping)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = mapping[cur]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
 def parity_vector(p: Permutation) -> ParityVector:
     """Parity vector of a conservative permutation (one bit per weight
     class)."""
     decomp = weight_decompose(p)
     return ParityVector(
-        p.width, tuple(_mapping_parity(cls) for cls in decomp.classes)
+        p.width, tuple(len(transpositions(cls)) % 2 for cls in decomp.classes)
     )
 
 
@@ -178,4 +161,4 @@ def embedded_parity(g: Permutation, n: int) -> str:
     mapping = [
         (g(x >> rest) << rest) | (x & ((1 << rest) - 1)) for x in range(1 << n)
     ]
-    return "odd" if _mapping_parity(mapping) else "even"
+    return Permutation(n, mapping).parity()

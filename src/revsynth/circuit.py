@@ -175,12 +175,6 @@ class Circuit:
                     f"gate {g.kind.value} {g.lines} exceeds width {self.width}"
                 )
 
-    def data_lines(self) -> tuple[int, ...]:
-        return tuple(
-            l for l in range(1, self.width + 1)
-            if self.roles[l - 1] is LineRole.DATA
-        )
-
     def lines_with_role(self, role: LineRole) -> tuple[int, ...]:
         return tuple(
             l for l in range(1, self.width + 1) if self.roles[l - 1] is role

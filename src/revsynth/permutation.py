@@ -8,6 +8,7 @@ the most significant bit, line ``n`` the least significant one.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from .errors import WidthMismatchError, WidthOutOfRangeError
 
@@ -97,26 +98,12 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest element,
         ordered by that element."""
-        seen = [False] * len(self.mapping)
-        out: list[tuple[int, ...]] = []
-        for start in range(len(self.mapping)):
-            if seen[start] or self.mapping[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.mapping[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.mapping[x]
-            out.append(tuple(cyc))
-        return out
+        return cycles(self.mapping)
 
     def is_even(self) -> bool:
         """True when the permutation is a product of an even number of
         transpositions."""
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        return len(transpositions(self.mapping)) % 2 == 0
 
     def parity(self) -> str:
         """``"even"`` or ``"odd"``."""
@@ -127,22 +114,38 @@ class Permutation:
         return all(y.bit_count() == x.bit_count() for x, y in enumerate(self.mapping))
 
     def to_transpositions(self) -> list[tuple[int, int]]:
-        """Decompose into transpositions that recompose left to right.
-
-        Applying the returned pairs in list order (first pair first)
-        reproduces the permutation: each cycle ``(c0 c1 ... cL)`` becomes
-        ``(c0,c1), (c0,c2), ..., (c0,cL)``.
-        """
-        out: list[tuple[int, int]] = []
-        for cyc in self.cycles():
-            first = cyc[0]
-            out.extend((first, other) for other in cyc[1:])
-        return out
+        """Decompose into transpositions that recompose left to right
+        (see :func:`transpositions`)."""
+        return transpositions(self.mapping)
 
 
-def parity(p: Permutation) -> str:
-    """``"even"`` or ``"odd"`` (function form of :meth:`Permutation.parity`)."""
-    return p.parity()
+def cycles(mapping: Sequence[int]) -> list[tuple[int, ...]]:
+    """Nontrivial cycles of the index permutation ``mapping`` (any
+    length), each starting at its smallest element, ordered by that
+    element."""
+    seen = [False] * len(mapping)
+    out: list[tuple[int, ...]] = []
+    for start in range(len(mapping)):
+        if seen[start] or mapping[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = mapping[start]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = mapping[x]
+        out.append(tuple(cyc))
+    return out
+
+
+def transpositions(mapping: Sequence[int]) -> list[tuple[int, int]]:
+    """Transpositions of index pairs that, applied in list order (first
+    pair first), reproduce the index permutation ``mapping``: each cycle
+    ``(c0 c1 ... cL)`` becomes ``(c0,c1), (c0,c2), ..., (c0,cL)``. Their
+    count mod 2 is the parity."""
+    return [(cyc[0], c) for cyc in cycles(mapping) for c in cyc[1:]]
 
 
 def sample_permutation(width: int, kind: str = "any", seed: int = 0) -> Permutation:

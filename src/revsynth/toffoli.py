@@ -2,8 +2,8 @@
 
 Building blocks are gate-list fragments over explicit lines (NOT, CNOT,
 CCNOT, and the recursive multi-controlled NOT), the increment ladder that
-adds 1 to a register of lines, and the blocks built from it: ``synth_t1``
-swaps states 0 and 1, ``synth_t2`` adds 1 mod ``2**n`` and
+adds 1 to a register of lines (the generator T2 on all n lines), and the
+blocks built on them: ``synth_t1`` swaps states 0 and 1 and
 ``synth_add_constant`` adds any constant. ``synth_general`` chains them per
 the reduced generator decomposition of the target and lowers everything to
 VTOF gates.
@@ -116,14 +116,6 @@ def synth_t1(n: int) -> Circuit:
     return Circuit(n, nots + (cknot(tuple(range(1, n)), n),) + nots)
 
 
-def synth_t1_top(n: int) -> Circuit:
-    """Swap the two largest states ``2**n - 2`` and ``2**n - 1`` (macro
-    level): a single CKNOT recognizing "all high bits one"."""
-    if n < 2:
-        raise WidthOutOfRangeError(f"top swap needs width >= 2, got {n}")
-    return Circuit(n, (cknot(tuple(range(1, n)), n),))
-
-
 def increment(lines: Sequence[int]) -> tuple[GateInstance, ...]:
     """Add 1 to the register formed by ``lines`` (MSB first), modulo
     ``2**len(lines)``; every other line is untouched.
@@ -161,14 +153,6 @@ def synth_add_constant(r: int, lines: Sequence[int]) -> tuple[GateInstance, ...]
         r >>= 1
         j += 1
     return tuple(gates)
-
-
-def synth_t2(n: int) -> Circuit:
-    """Add 1 mod ``2**n`` (macro level, n lines): the increment ladder on
-    lines 1..n."""
-    if n < 1:
-        raise WidthOutOfRangeError(f"t2 needs width >= 1, got {n}")
-    return Circuit(n, increment(range(1, n + 1)))
 
 
 def synth_general(p: Permutation) -> Circuit:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .circuit import (
     Circuit,
     LineRole,
-    circuit_to_permutation,
     final_line_masks,
     masks_to_mapping,
 )
@@ -66,7 +65,7 @@ def verify_realizes(
     be restored. The verdict is computed by simulation of all states; on
     failure the report carries the first (lowest-input) counterexample.
     """
-    data = c.data_lines()
+    data = c.lines_with_role(LineRole.DATA)
     if len(data) != target.width:
         raise WidthMismatchError(
             f"circuit has {len(data)} data lines, target has width {target.width}"
@@ -112,9 +111,3 @@ def verify_realizes(
         counterexample=counterexample,
     )
 
-
-def is_weight_preserving(c: Circuit) -> bool:
-    """True when the circuit's raw action preserves Hamming weight on
-    every input state (as any circuit over FRED/CKSWAP must)."""
-    perm = circuit_to_permutation(c)
-    return all(perm(x).bit_count() == x.bit_count() for x in range(1 << c.width))

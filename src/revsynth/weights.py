@@ -39,9 +39,6 @@ class WeightClassDecomposition:
     width: int
     classes: tuple[tuple[int, ...], ...]
 
-    def class_states(self, k: int) -> list[int]:
-        return strings_of_weight(self.width, k)
-
     def is_identity(self, k: int) -> bool:
         return all(img == i for i, img in enumerate(self.classes[k]))
 

@@ -31,16 +31,12 @@ from revsynth.circuit import (
 )
 from revsynth.errors import OddPermutationError
 from revsynth.even import synth_even
-from revsynth.fredkin import (
-    synth_ckswap,
-    synth_ckswap_borrowed_pair,
-    synth_conservative,
-)
+from revsynth.fredkin import _merged_ckswap, synth_ckswap, synth_conservative
 from revsynth.generators import TransformToken, decompose_generators
 from revsynth.netlist import read_netlist, write_netlist
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.toffoli import synth_cknot, synth_cnot, synth_general, synth_not
-from revsynth.verify import is_weight_preserving, verify_realizes
+from revsynth.verify import verify_realizes
 
 from conftest import cknot_permutation, ckswap_permutation
 
@@ -219,13 +215,13 @@ def test_criterion_07_ckswap_family(capsys):
         report = verify_realizes(c, want, backend="ckswap")
         ok &= report.passed
         _collect(c)
-    # Borrowed-pair fragment: identity whenever the pair starts equal,
+    # Borrowed-pair lowering: identity whenever the pair starts equal,
     # exhaustive at widths 6 and 7.
     for k in (2, 3):
         width = k + 4
         lines = tuple(range(1, k + 3))
         pair = (k + 3, k + 4)
-        frag = Circuit(width, synth_ckswap_borrowed_pair(k, lines, pair))
+        frag = Circuit(width, tuple(_merged_ckswap(lines[:k], lines[k:], pair)))
         got = circuit_to_permutation(frag)
         for s in range(1 << width):
             if bit_of(s, pair[0], width) == bit_of(s, pair[1], width):
@@ -258,7 +254,7 @@ def test_criterion_08_conservative_universality(capsys):
                 pinned0 += 1
             else:
                 pinned1 += 1
-            ok &= is_weight_preserving(c)
+            ok &= circuit_to_permutation(c).is_conservative()
             _collect(c)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 120

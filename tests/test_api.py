@@ -1,0 +1,29 @@
+"""Public API of the ``revsynth`` package: what ``__all__`` promises."""
+
+from __future__ import annotations
+
+import revsynth
+
+# Names removed from the package, each with the one place its behaviour
+# lives now.
+REMOVED = (
+    "synth_ckswap_ancilla",  # fredkin.ckswap_fred_with_ancilla
+    "synth_ckswap_borrowed_pair",  # fredkin._merged_ckswap
+    "synth_t2",  # toffoli.increment
+    "parity",  # Permutation.parity
+)
+
+
+def test_every_exported_name_resolves():
+    for name in revsynth.__all__:
+        assert getattr(revsynth, name, None) is not None, name
+
+
+def test_exports_are_unique():
+    assert len(revsynth.__all__) == len(set(revsynth.__all__))
+
+
+def test_removed_names_stay_removed():
+    for name in REMOVED:
+        assert name not in revsynth.__all__
+        assert not hasattr(revsynth, name), name

@@ -150,7 +150,7 @@ def test_gate_validation_errors():
 def test_circuit_roles_default_to_data():
     c = Circuit(3, (vtof(1, 2, 3),))
     assert c.roles == (LineRole.DATA,) * 3
-    assert c.data_lines() == (1, 2, 3)
+    assert c.lines_with_role(LineRole.DATA) == (1, 2, 3)
     assert c.role_counts() == {
         "data": 3, "ancilla0": 0, "ancilla1": 0, "borrowed": 0,
     }
@@ -159,7 +159,7 @@ def test_circuit_roles_default_to_data():
 def test_circuit_role_queries():
     roles = (LineRole.DATA, LineRole.BORROWED, LineRole.ANCILLA0)
     c = Circuit(3, (), roles)
-    assert c.data_lines() == (1,)
+    assert c.lines_with_role(LineRole.DATA) == (1,)
     assert c.lines_with_role(LineRole.BORROWED) == (2,)
     assert c.lines_with_role(LineRole.ANCILLA0) == (3,)
     assert c.role_counts()["borrowed"] == 1

@@ -25,16 +25,15 @@ from revsynth.errors import (
     WidthOutOfRangeError,
 )
 from revsynth.fredkin import (
+    _merged_ckswap,
     conservative_stage_plan,
     hamming_path,
     synth_ckswap,
-    synth_ckswap_ancilla,
-    synth_ckswap_borrowed_pair,
     synth_conservative,
     synth_transposition,
 )
 from revsynth.permutation import Permutation, sample_permutation
-from revsynth.verify import is_weight_preserving, verify_realizes
+from revsynth.verify import verify_realizes
 from revsynth.weights import hamming_distance, strings_of_weight
 
 from conftest import ckswap_permutation
@@ -134,35 +133,15 @@ def test_synth_transposition_errors():
         synth_transposition("110", "100", 3)
 
 
-def test_synth_ckswap_ancilla_semantics():
-    k, width = 2, 5
-    gates = synth_ckswap_ancilla(k, (1, 2, 3, 4), 5)
-    assert len(gates) == 3 and gates[0] == gates[2]
-    c = Circuit(width, gates)
-    want = ckswap_permutation(width, (1, 2), 3, 4)
-    for s in range(1 << width):
-        if bit_of(s, 5, width):
-            continue  # fragment contract: ancilla starts at 0
-        out = simulate(c, s)
-        assert out == want(s)
-        assert bit_of(out, 5, width) == 0
-
-
-def test_synth_ckswap_ancilla_rejects_zero_controls():
-    with pytest.raises(RangeError):
-        synth_ckswap_ancilla(0, (1, 2), 3)
-    with pytest.raises(RangeError):
-        synth_ckswap_ancilla(2, (1, 2, 3), 4)
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_synth_ckswap_borrowed_pair_both_regimes(k: int):
     width = k + 4
     lines = tuple(range(1, k + 3))
     pair = (k + 3, k + 4)
-    gates = synth_ckswap_borrowed_pair(k, lines, pair)
-    assert len(gates) == 10
-    c = Circuit(width, gates)
+    gates = _merged_ckswap(lines[:k], lines[k:], pair)
+    assert len(gates) == {2: 10, 3: 46}[k]
+    assert all(g.kind is GateKind.FRED for g in gates)
+    c = Circuit(width, tuple(gates))
     want = ckswap_permutation(width, lines[:k], lines[k], lines[k + 1])
     for s in range(1 << width):
         px, py = bit_of(s, pair[0], width), bit_of(s, pair[1], width)
@@ -173,15 +152,6 @@ def test_synth_ckswap_borrowed_pair_both_regimes(k: int):
         else:
             # Opposite pair: exact swap, pair and controls restored.
             assert out == want(s)
-
-
-def test_synth_ckswap_borrowed_pair_requirements():
-    with pytest.raises(RangeError):
-        synth_ckswap_borrowed_pair(1, (1, 2, 3), (4, 5))
-    with pytest.raises(RangeError):
-        synth_ckswap_borrowed_pair(2, (1, 2, 3, 4), (4, 5))
-    with pytest.raises(RangeError):
-        synth_ckswap_borrowed_pair(2, (1, 2, 3), (4, 5))
 
 
 @pytest.mark.parametrize(
@@ -284,7 +254,7 @@ def test_conservative_circuits_preserve_weight_everywhere():
     rng = random.Random(67)
     for _ in range(4):
         p = sample_permutation(4, "conservative", seed=rng.getrandbits(32))
-        assert is_weight_preserving(synth_conservative(p))
+        assert circuit_to_permutation(synth_conservative(p)).is_conservative()
 
 
 def test_conservative_rejects_non_conservative_targets():

@@ -10,24 +10,40 @@ import pytest
 from revsynth.errors import WidthMismatchError, WidthOutOfRangeError
 from revsynth.permutation import (
     Permutation,
+    cycles,
     format_permutation,
-    parity,
     parse_permutation,
     sample_permutation,
+    transpositions,
 )
 
 
-def compose_transpositions(width: int, pairs: list[tuple[int, int]]) -> Permutation:
-    """Oracle: apply transpositions left to right by explicit swapping."""
-    mapping = list(range(1 << width))
-    result = list(range(1 << width))
+def compose_index_transpositions(size: int, pairs) -> list[int]:
+    """Oracle: apply transpositions of ``0 .. size-1`` left to right by
+    explicit swapping."""
+    result = list(range(size))
     for a, b in pairs:
         for i, v in enumerate(result):
             if v == a:
                 result[i] = b
             elif v == b:
                 result[i] = a
-    return Permutation(width, result)
+    return result
+
+
+def compose_transpositions(width: int, pairs: list[tuple[int, int]]) -> Permutation:
+    return Permutation(width, compose_index_transpositions(1 << width, pairs))
+
+
+def inversion_parity(mapping) -> str:
+    """Oracle independent of cycles: parity of the inversion count."""
+    inversions = sum(
+        1
+        for i in range(len(mapping))
+        for j in range(i + 1, len(mapping))
+        if mapping[i] > mapping[j]
+    )
+    return "odd" if inversions % 2 else "even"
 
 
 def test_identity_and_call():
@@ -97,8 +113,8 @@ def test_parity_matches_transposition_count():
     for _ in range(30):
         p = sample_permutation(3, "any", seed=rng.getrandbits(32))
         want = "odd" if len(p.to_transpositions()) % 2 else "even"
+        assert want == inversion_parity(p.mapping)
         assert p.parity() == want
-        assert parity(p) == want
         assert p.is_even() == (want == "even")
 
 
@@ -115,6 +131,30 @@ def test_cycles_smallest_first_and_nontrivial():
     p = Permutation(2, [1, 0, 3, 2])
     assert p.cycles() == [(0, 1), (2, 3)]
     assert Permutation.identity(3).cycles() == []
+
+
+@pytest.mark.parametrize("size", [20, 70, 3, 1, 0, 8, 16])
+def test_walker_on_index_sequences_of_any_length(size: int):
+    # Weight classes have C(n, k) members, e.g. C(6,3) = 20 and
+    # C(8,4) = 70, so the shared walker must not assume a power of two.
+    rng = random.Random(size)
+    for _ in range(10):
+        m = list(range(size))
+        rng.shuffle(m)
+        pairs = transpositions(m)
+        assert compose_index_transpositions(size, pairs) == m
+        cyc = cycles(m)
+        assert all(c[0] == min(c) and len(c) >= 2 for c in cyc)
+        assert [c[0] for c in cyc] == sorted(c[0] for c in cyc)
+        assert {x for c in cyc for x in c} == {x for x in range(size) if m[x] != x}
+        assert all(m[c[i]] == c[(i + 1) % len(c)] for c in cyc for i in range(len(c)))
+        assert pairs == [(c[0], x) for c in cyc for x in c[1:]]
+        assert len(pairs) % 2 == (inversion_parity(m) == "odd")
+        if size >= 2 and size & (size - 1) == 0:
+            p = Permutation(size.bit_length() - 1, m)
+            assert cycles(m) == p.cycles()
+            assert pairs == p.to_transpositions()
+            assert tuple(m) == p.mapping
 
 
 def test_sample_kinds():

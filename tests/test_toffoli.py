@@ -12,6 +12,7 @@ from revsynth.circuit import (
     GateKind,
     LineRole,
     circuit_to_permutation,
+    cknot,
 )
 from revsynth.errors import InsufficientLinesError, WidthOutOfRangeError
 from revsynth.generators import TransformToken, token_permutation
@@ -25,8 +26,6 @@ from revsynth.toffoli import (
     synth_general,
     synth_not,
     synth_t1,
-    synth_t1_top,
-    synth_t2,
 )
 from revsynth.verify import verify_realizes
 
@@ -109,17 +108,9 @@ def test_t1_block_swaps_lowest_pair():
         assert circuit_to_permutation(c).mapping == want.mapping
 
 
-def test_t1_top_block_swaps_highest_pair():
-    for n in (2, 3, 4):
-        c = synth_t1_top(n)
-        assert len(c.gates) == 1
-        want = token_permutation(TransformToken.T1P, n)
-        assert circuit_to_permutation(c).mapping == want.mapping
-
-
 def test_t2_block_increments():
     for n in (1, 2, 3, 4):
-        c = synth_t2(n)
+        c = Circuit(n, increment(range(1, n + 1)))
         assert len(c.gates) == n
         want = token_permutation(TransformToken.T2, n)
         assert circuit_to_permutation(c).mapping == want.mapping
@@ -143,7 +134,9 @@ def add_constant_permutation(width: int, lines, r: int) -> Permutation:
 
 
 def test_increment_is_the_t2_ladder_on_any_lines():
-    assert increment(range(1, 5)) == synth_t2(4).gates
+    assert increment(range(1, 5)) == (
+        cknot((2, 3, 4), 1), cknot((3, 4), 2), cknot((4,), 3), cknot((), 4)
+    )
     assert increment(()) == ()
     width, lines = 5, (4, 1, 5)
     assert realized(width, increment(lines)).mapping == (
@@ -178,10 +171,6 @@ def test_add_constant_frozen_counts(r: int, count: int):
 def test_t_blocks_reject_tiny_widths():
     with pytest.raises(WidthOutOfRangeError):
         synth_t1(1)
-    with pytest.raises(WidthOutOfRangeError):
-        synth_t1_top(1)
-    with pytest.raises(WidthOutOfRangeError):
-        synth_t2(0)
 
 
 def test_general_synthesis_shape():

@@ -16,7 +16,7 @@ from revsynth.circuit import (
 )
 from revsynth.errors import WidthMismatchError
 from revsynth.permutation import Permutation
-from revsynth.verify import is_weight_preserving, verify_realizes
+from revsynth.verify import verify_realizes
 
 from conftest import cknot_permutation
 
@@ -117,8 +117,3 @@ def test_report_counts_only_primitive_gates():
     c = Circuit(3, (cknot((1,), 2), fred(1, 2, 3), fred(1, 2, 3)), roles)
     report = verify_realizes(c, Permutation.identity(3))
     assert report.primitive_gate_count == 2
-
-
-def test_is_weight_preserving():
-    assert is_weight_preserving(Circuit(3, (fred(1, 2, 3), swap(1, 3))))
-    assert not is_weight_preserving(Circuit(3, (cknot((1,), 2),)))

@@ -65,8 +65,3 @@ def test_recompose_round_trip():
         for _ in range(10):
             p = sample_permutation(width, "conservative", seed=rng.getrandbits(32))
             assert recompose(weight_decompose(p)) == p
-
-
-def test_class_states_accessor():
-    d = weight_decompose(Permutation.identity(3))
-    assert d.class_states(1) == [1, 2, 4]

@@ -83,7 +83,6 @@ from .toffoli import (
     synth_cnot,
     synth_general,
     synth_not,
-    synth_t1,
 )
 from .verify import SynthesisReport, verify_realizes
 from .weights import (
@@ -160,7 +159,6 @@ __all__ = [
     "synth_general",
     "synth_not",
     "synth_pair",
-    "synth_t1",
     "synth_transposition",
     "verify_realizes",
     "vtof",

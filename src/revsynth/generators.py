@@ -15,7 +15,7 @@ one ``T1`` (or ``T1'``) and ``2**n`` shifts, so an even permutation always
 yields even counts of both primed tokens. It stays literal as the
 reference.
 
-``reduce_tokens`` is the separate pass the synthesis routes compile from:
+``reduce_tokens`` is the separate pass the even route compiles from:
 it folds the stream into runs, reducing each shift run mod ``2**n`` and
 cancelling swaps that meet. Both changes remove an even number of tokens
 of one kind, so the parity of each count survives.

@@ -2,11 +2,11 @@
 
 Building blocks are gate-list fragments over explicit lines (NOT, CNOT,
 CCNOT, and the recursive multi-controlled NOT), the increment ladder that
-adds 1 to a register of lines (the generator T2 on all n lines), and the
-blocks built on them: ``synth_t1`` swaps states 0 and 1 and
-``synth_add_constant`` adds any constant. ``synth_general`` chains them per
-the reduced generator decomposition of the target and lowers everything to
-VTOF gates.
+adds 1 to a register of lines (the generator T2 on all n lines), and
+``synth_add_constant``, which adds any constant (the even route's shift
+blocks). ``synth_general`` swaps each transposition of the target with one
+full-width multi-controlled NOT conjugated by CNOTs and NOTs
+(``transposition_gates``) and lowers everything to VTOF gates.
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .circuit import Circuit, GateInstance, LineRole, cknot, not_gate, vtof
+from .circuit import Circuit, GateInstance, LineRole, cknot, cnot, not_gate, vtof
 from .errors import InsufficientLinesError, WidthOutOfRangeError
-from .generators import TransformToken, decompose_generators, reduce_tokens
+# Unused here, but perfbench/tracer.py patches this binding and requires it.
+from .generators import decompose_generators  # noqa: F401
 from .permutation import Permutation
 
 GENERAL_MIN_WIDTH = 3
@@ -104,18 +105,6 @@ def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
     return child + join + child + join
 
 
-def synth_t1(n: int) -> Circuit:
-    """Swap integer states 0 and 1, fix all others (macro-level, n lines).
-
-    NOTs bracket a full-width CKNOT so the control product recognizes
-    "all high bits zero", i.e. exactly the states 0 and 1.
-    """
-    if n < 2:
-        raise WidthOutOfRangeError(f"t1 needs width >= 2, got {n}")
-    nots = tuple(not_gate(l) for l in range(1, n))
-    return Circuit(n, nots + (cknot(tuple(range(1, n)), n),) + nots)
-
-
 def increment(lines: Sequence[int]) -> tuple[GateInstance, ...]:
     """Add 1 to the register formed by ``lines`` (MSB first), modulo
     ``2**len(lines)``; every other line is untouched.
@@ -155,14 +144,35 @@ def synth_add_constant(r: int, lines: Sequence[int]) -> tuple[GateInstance, ...]
     return tuple(gates)
 
 
+def transposition_gates(a: int, b: int, width: int) -> tuple[GateInstance, ...]:
+    """Macro gates on data lines ``1..width`` that swap states ``a`` and
+    ``b`` and fix every other state.
+
+    Line ``p`` is the first line where ``a`` and ``b`` differ. CNOTs from
+    ``p`` onto the other differing lines make the two states differ on
+    ``p`` alone; NOTs then set every other line of both to 1, so a single
+    CKNOT on target ``p``, controlled by all other lines, swaps exactly
+    them. The NOTs and CNOTs are undone in reverse order.
+    """
+    diff = [l for l in range(1, width + 1) if (a ^ b) >> (width - l) & 1]
+    p = diff[0]
+    cnots = [cnot(p, q) for q in diff[1:]]
+    low = min(a, b)  # 0 on line p, so the CNOTs leave it alone
+    others = [l for l in range(1, width + 1) if l != p]
+    nots = [not_gate(l) for l in others if not low >> (width - l) & 1]
+    return (*cnots, *nots, cknot(others, p), *reversed(nots), *reversed(cnots))
+
+
 def synth_general(p: Permutation) -> Circuit:
     """Compile any permutation to a VTOF netlist on ``width + 1`` lines.
 
     The extra line is borrowed: it may hold either value and is always
-    restored. Pipeline: generator decomposition, token reduction, one t1
-    block per swap and one add-constant block on lines 1..n per shift run,
-    then macro expansion (full-width CKNOTs borrow the extra line; narrower
-    ones borrow a free data line).
+    restored. Each transposition of ``p``, in list order, becomes one
+    ``transposition_gates`` block, so the only wide gate per transposition
+    is one full-width CKNOT (transformation-based synthesis in the style of
+    Miller, Maslov and Dueck, DAC 2003). Macro expansion then lowers the
+    blocks: the full-width CKNOTs borrow the extra line, the CNOTs and NOTs
+    borrow free data lines.
     """
     n = p.width
     if not GENERAL_MIN_WIDTH <= n <= GENERAL_MAX_WIDTH:
@@ -170,17 +180,9 @@ def synth_general(p: Permutation) -> Circuit:
             f"general synthesis supports widths "
             f"{GENERAL_MIN_WIDTH}..{GENERAL_MAX_WIDTH}, got {n}"
         )
-    t1_gates = synth_t1(n).gates
-    data = range(1, n + 1)
-    blocks: dict[int, tuple[GateInstance, ...]] = {}  # shift counts repeat
     gates: list[GateInstance] = []
-    for tok, count in reduce_tokens(decompose_generators(p, "standard"), n):
-        if tok is TransformToken.T1:
-            gates.extend(t1_gates)
-        else:
-            if count not in blocks:
-                blocks[count] = synth_add_constant(count, data)
-            gates.extend(blocks[count])
+    for a, b in p.to_transpositions():
+        gates.extend(transposition_gates(a, b, n))
     macro = Circuit(
         n + 1,
         tuple(gates),

@@ -11,6 +11,7 @@ REMOVED = (
     "synth_ckswap_borrowed_pair",  # fredkin._merged_ckswap
     "synth_t2",  # toffoli.increment
     "parity",  # Permutation.parity
+    "synth_t1",  # toffoli.transposition_gates(0, 1, n)
 )
 
 

@@ -63,7 +63,7 @@ def test_readme_example_gate_count(tmp_path, capsys):
     assert main(["sample", "--width", "3", "--seed", "1", "--out", str(perm)]) == 0
     capsys.readouterr()
     assert main(["synth", str(perm), "--general", "--out", str(out)]) == 0
-    assert capsys.readouterr().out.splitlines()[4] == "primitive_gates: 694"
+    assert capsys.readouterr().out.splitlines()[4] == "primitive_gates: 122"
 
 
 def test_synth_even_rejects_odd_permutation(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Toffoli-alphabet constructions: NOT/CNOT ladders, multi-controlled NOT
-recursion, generator blocks, and full general synthesis."""
+recursion, add-constant blocks, transposition blocks, and full general
+synthesis."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from revsynth.circuit import (
     cknot,
 )
 from revsynth.errors import InsufficientLinesError, WidthOutOfRangeError
+from revsynth.expand import expand_macros
 from revsynth.generators import TransformToken, token_permutation
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.toffoli import (
@@ -25,7 +27,7 @@ from revsynth.toffoli import (
     synth_cnot,
     synth_general,
     synth_not,
-    synth_t1,
+    transposition_gates,
 )
 from revsynth.verify import verify_realizes
 
@@ -100,14 +102,6 @@ def test_synth_cknot_line_requirements():
         synth_cknot(3, (1, 2, 3, 4))
 
 
-def test_t1_block_swaps_lowest_pair():
-    for n in (2, 3, 4):
-        c = synth_t1(n)
-        assert c.width == n
-        want = token_permutation(TransformToken.T1, n)
-        assert circuit_to_permutation(c).mapping == want.mapping
-
-
 def test_t2_block_increments():
     for n in (1, 2, 3, 4):
         c = Circuit(n, increment(range(1, n + 1)))
@@ -168,9 +162,68 @@ def test_add_constant_frozen_counts(r: int, count: int):
     assert len(synth_add_constant(r, (1, 2, 3, 4))) == count
 
 
-def test_t_blocks_reject_tiny_widths():
-    with pytest.raises(WidthOutOfRangeError):
-        synth_t1(1)
+def assert_general_transposition(width: int, a: int, b: int) -> None:
+    p = Permutation.from_cycle(width, (a, b))
+    c = synth_general(p)
+    assert c.roles == (LineRole.DATA,) * width + (LineRole.BORROWED,)
+    assert all(g.kind is GateKind.VTOF for g in c.gates)
+    # Quantifies the borrowed line over both start values.
+    report = verify_realizes(c, p)
+    assert report.passed, (a, b, report.counterexample)
+
+
+def test_general_transposition_every_pair_at_width_three():
+    for a in range(8):
+        for b in range(a + 1, 8):
+            assert_general_transposition(3, a, b)
+
+
+def test_general_transposition_sampled_pairs_at_width_four():
+    rng = random.Random(4)
+    for _ in range(24):
+        a, b = rng.sample(range(16), 2)
+        assert_general_transposition(4, a, b)
+
+
+def test_transposition_gates_cover_both_orders_and_every_pair():
+    # Macro level on the data lines alone: (a, b) and (b, a) both swap
+    # exactly those two states, whichever of them has the 1 on line p.
+    for width in (2, 3, 4):
+        for a in range(1 << width):
+            for b in range(1 << width):
+                if a != b:
+                    want = Permutation.from_cycle(width, (a, b))
+                    got = realized(width, transposition_gates(a, b, width))
+                    assert got.mapping == want.mapping, (width, a, b)
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_general_macro_is_one_wide_cknot_per_transposition(width: int):
+    p = sample_permutation(width, "any", seed=width)
+    pairs = p.to_transpositions()
+    gates = tuple(g for a, b in pairs for g in transposition_gates(a, b, width))
+    assert all(g.kind is GateKind.CKNOT for g in gates)
+    wide = [g for g in gates if g.k == width - 1]
+    assert len(wide) == len(pairs)
+    # The wide gate spans every data line, leaving the borrowed line free.
+    assert all(set(g.lines) == set(range(1, width + 1)) for g in wide)
+    assert all(g.k <= 1 for g in gates if g.k != width - 1)
+    roles = (LineRole.DATA,) * width + (LineRole.BORROWED,)
+    macro = Circuit(width + 1, gates, roles=roles)
+    assert expand_macros(macro, "VTOF") == synth_general(p)
+
+
+@pytest.mark.parametrize(
+    "width, count",
+    # Seed 0 at each width. Frozen: a change in emitted size updates these
+    # and the README's gate-count table together.
+    [(3, 60), (4, 616), (5, 2652), (6, 9280)],
+)
+def test_general_synthesis_frozen_counts(width: int, count: int):
+    p = sample_permutation(width, "any", seed=0)
+    c = synth_general(p)
+    assert len(c.gates) == count
+    assert verify_realizes(c, p).passed
 
 
 def test_general_synthesis_shape():

@@ -59,7 +59,7 @@ from .errors import (
     WidthMismatchError,
     WidthOutOfRangeError,
 )
-from .even import TokenPair, pair_tokens, synth_even, synth_fused, synth_pair
+from .even import TokenPair, synth_even, synth_fused, synth_pair
 from .expand import expand_macros
 from .fredkin import (
     hamming_path,
@@ -140,7 +140,6 @@ __all__ = [
     "hamming_path",
     "independence_check",
     "not_gate",
-    "pair_tokens",
     "parity_vector",
     "parse_permutation",
     "read_netlist",

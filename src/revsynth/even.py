@@ -1,29 +1,27 @@
 """Even-permutation synthesis on exactly n lines, no extra inputs.
 
-An even permutation decomposes into primed shift/swap tokens with an even
-count of each kind. Token reduction keeps both counts even, so the reduced
-stream still splits into adjacent pairs. Each pair kind has a line-exact
-realization: doubled swaps cancel, doubled shifts become an increment on
-the high lines, and the two mixed pairs become an increment ladder joined
-to a single fused gate that combines the top-state swap with a full-width
-controlled NOT. A run of doubled shifts becomes one add-constant block on
-the high lines. Every gate leaves at least one of the n lines untouched,
-so macro expansion borrows within the circuit and the width never grows.
+An even permutation decomposes into primed shift/swap runs with an even
+count of each token kind. Run reduction keeps both counts even, so the
+reduced runs still split into adjacent token pairs, and ``pair_runs``
+pairs them run by run, never expanding a run into tokens. Each pair kind
+has a line-exact realization: doubled swaps cancel, doubled shifts become
+an increment on the high lines, and the two mixed pairs become an
+increment ladder joined to a single fused gate that combines the top-state
+swap with a full-width controlled NOT. A run of doubled shifts becomes one
+add-constant block on the high lines. Every gate leaves at least one of
+the n lines untouched, so macro expansion borrows within the circuit and
+the width never grows.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 
 from .circuit import Circuit, GateInstance, cknot
 from .errors import OddPermutationError, OddTokenCountError, WidthOutOfRangeError
-from .generators import (
-    TransformToken,
-    decompose_generators,
-    expand_runs,
-    reduce_tokens,
-)
+# Unused here, but perfbench/tracer.py patches this binding and requires it.
+from .generators import decompose_generators  # noqa: F401
+from .generators import Run, TransformToken, generator_runs, reduce_tokens
 from .permutation import MAX_WIDTH, Permutation
 from .toffoli import increment, synth_add_constant
 
@@ -50,26 +48,40 @@ _PAIR_OF = {
 }
 
 
-def pair_tokens(tokens: list[TransformToken]) -> list[TokenPair]:
-    """Split a primed token sequence into adjacent pairs, preserving order.
+def pair_runs(runs: list[Run]) -> list[tuple[TokenPair, int]]:
+    """Split primed token runs into adjacent token pairs, preserving order,
+    as ``(pair, count)`` runs; neighbouring runs of one pair kind merge.
 
     Requires an even count of each token kind (which every even
     permutation's decomposition satisfies); the composition of the pairs
     equals the composition of the tokens.
     """
-    for tok in tokens:
-        if tok not in (TransformToken.T1P, TransformToken.T2P):
+    out: list[tuple[TokenPair, int]] = []
+
+    def add(pair: TokenPair, count: int) -> None:
+        if out and out[-1][0] is pair:
+            count += out.pop()[1]
+        out.append((pair, count))
+
+    totals = {TransformToken.T1P: 0, TransformToken.T2P: 0}
+    held = None  # the last token of an odd run, paired with the next token
+    for tok, count in runs:
+        if tok not in totals:
             raise ValueError(f"pairing applies to primed tokens, got {tok.value}")
-    n_swap = sum(1 for t in tokens if t is TransformToken.T1P)
-    n_shift = len(tokens) - n_swap
+        totals[tok] += count
+        if held is not None:
+            add(_PAIR_OF[held, tok], 1)
+            count -= 1
+        if count > 1:
+            add(_PAIR_OF[tok, tok], count // 2)
+        held = tok if count % 2 else None
+    n_swap, n_shift = totals.values()
     if n_swap % 2 or n_shift % 2:
         raise OddTokenCountError(
             f"token counts must both be even, got {n_swap} swaps "
             f"and {n_shift} shifts"
         )
-    return [
-        _PAIR_OF[(tokens[i], tokens[i + 1])] for i in range(0, len(tokens), 2)
-    ]
+    return out
 
 
 def synth_fused(n: int) -> Circuit:
@@ -117,10 +129,10 @@ def synth_even(p: Permutation) -> Circuit:
     """Compile an even permutation to a VTOF netlist on exactly its own
     width: no ancilla, no borrowed lines.
 
-    Pipeline: primed generator decomposition, token reduction, adjacent-pair
-    grouping, one fragment per mixed pair and one add-constant block on the
-    high lines 1..n-1 per maximal run of doubled shifts, then macro
-    expansion borrowing free data lines.
+    Pipeline: primed generator runs, run reduction, adjacent-pair runs, one
+    fragment per mixed pair (each kind built once per call) and one
+    add-constant block on the high lines 1..n-1 per run of doubled shifts,
+    then macro expansion borrowing free data lines.
     """
     n = p.width
     if not EVEN_MIN_WIDTH <= n <= MAX_WIDTH:
@@ -129,16 +141,17 @@ def synth_even(p: Permutation) -> Circuit:
         )
     if not p.is_even():
         raise OddPermutationError("permutation is odd")
-    tokens = expand_runs(reduce_tokens(decompose_generators(p, "primed"), n))
     high = range(1, n)
+    blocks: dict[TokenPair, tuple[GateInstance, ...]] = {}
     gates: list[GateInstance] = []
-    for pair, run in itertools.groupby(pair_tokens(tokens)):
+    for pair, count in pair_runs(reduce_tokens(generator_runs(p, "primed"), n)):
         if pair is TokenPair.M2:
             # m doubled shifts add 2m: m on the high lines, modulo 2**(n-1).
-            gates.extend(synth_add_constant(len(list(run)), high))
+            gates.extend(synth_add_constant(count, high))
         else:
-            for _ in run:
-                gates.extend(synth_pair(pair, n).gates)
+            if pair not in blocks:
+                blocks[pair] = synth_pair(pair, n).gates
+            gates.extend(blocks[pair] * count)
     macro = Circuit(n, tuple(gates))
     from .expand import expand_macros
 

@@ -12,7 +12,16 @@ control count.
 
 from __future__ import annotations
 
-from .circuit import Circuit, GateInstance, LineRole, apply_gate, ckswap, fred
+from .circuit import (
+    Circuit,
+    GateInstance,
+    LineRole,
+    apply_gates_bitsliced,
+    ckswap,
+    fred,
+    initial_line_masks,
+    masks_to_mapping,
+)
 from .errors import (
     DepthLimitError,
     EqualStringsError,
@@ -199,35 +208,28 @@ def conservative_stage_plan(
     """Macro gate plan for a conservative permutation, one entry per
     weight class in ascending order.
 
-    Stage k synthesizes the correction on the weight-k class: the target's
-    class action composed with the inverse of whatever earlier stages
-    already did to that class (their gates spill into higher classes).
-    Because stage-k gates never touch classes below k, each stage locks in
-    all classes up to its own weight.
+    Stage k synthesizes the correction on the weight-k class: each weight-k
+    state ``s`` sits at ``image[s]`` after the earlier stages (their gates
+    spill into higher classes), and the stage moves it on to ``p(s)``. The
+    correction's transpositions come from the cycle walker over state
+    integers, so each stage's pairs are in ascending numeric order.
+    ``image`` is read from bitsliced line masks that every stage's gates
+    advance in one pass. Because stage-k gates never touch classes below
+    k, each stage locks in all classes up to its own weight.
     """
     n = p.width
-    decomp = weight_decompose(p)
-    image = list(range(1 << n))
+    weight_decompose(p)  # the conservative check: raises NotConservativeError
+    masks = initial_line_masks(n)
     plan: list[tuple[int, tuple[GateInstance, ...]]] = []
     for k in range(1, n):
-        states = strings_of_weight(n, k)
-        index_of = {s: i for i, s in enumerate(states)}
-        residual = [index_of[image[s]] for s in states]
-        inverse = [0] * len(states)
-        for i, img in enumerate(residual):
-            inverse[img] = i
-        target_index = decomp.classes[k]
-        correction = [target_index[inverse[i]] for i in range(len(states))]
+        image = masks_to_mapping(masks, n)
+        correction = list(range(1 << n))
+        for s in strings_of_weight(n, k):
+            correction[image[s]] = p(s)
         stage: list[GateInstance] = []
-        for ia, ib in transpositions(correction):
-            stage.extend(
-                synth_transposition(bits(states[ia], n), bits(states[ib], n), n)
-            )
-        for s in range(1 << n):
-            v = image[s]
-            for g in stage:
-                v = apply_gate(g, v, n)
-            image[s] = v
+        for a, b in transpositions(correction):
+            stage.extend(synth_transposition(bits(a, n), bits(b, n), n))
+        apply_gates_bitsliced(stage, masks, n)
         plan.append((k, tuple(stage)))
     return plan
 
@@ -253,8 +255,7 @@ def synth_conservative(p: Permutation) -> Circuit:
     gates: list[GateInstance] = []
     for _, stage in plan:
         gates.extend(stage)
-    decomp = weight_decompose(p)
-    class_one_fixed = decomp.is_identity(1)
+    class_one_fixed = all(p(1 << i) == 1 << i for i in range(n))
     role = LineRole.ANCILLA0 if class_one_fixed else LineRole.ANCILLA1
     macro = Circuit(
         n + 1, tuple(gates), roles=(LineRole.DATA,) * n + (role,)

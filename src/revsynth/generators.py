@@ -8,23 +8,25 @@ permutations, in either of two variants:
 * primed: ``T1'`` swaps the two largest states ``2**n - 2`` and ``2**n - 1``;
   ``T2'`` is the same +1 shift as ``T2``.
 
-``decompose_generators`` emits the literal textbook recipe with no
-cancellation: transpositions, then adjacent swaps, then for each adjacent
-swap a shift-conjugated generator pair. Every adjacent swap costs exactly
-one ``T1`` (or ``T1'``) and ``2**n`` shifts, so an even permutation always
-yields even counts of both primed tokens. It stays literal as the
-reference.
+``generator_runs`` emits the literal textbook recipe as runs,
+``(token, count)``, with no cancellation: transpositions, then adjacent
+swaps, then for each adjacent swap a shift run, one swap and the shift run
+back. Every adjacent swap costs exactly one ``T1`` (or ``T1'``) and
+``2**n`` shifts, so an even permutation always yields even counts of both
+primed tokens. ``decompose_generators`` expands those runs into the
+literal token list and stays the reference.
 
-``reduce_tokens`` is the separate pass the even route compiles from:
-it folds the stream into runs, reducing each shift run mod ``2**n`` and
-cancelling swaps that meet. Both changes remove an even number of tokens
-of one kind, so the parity of each count survives.
+``reduce_tokens`` is the pass the even route compiles from: it folds the
+runs, reducing each shift run mod ``2**n`` and cancelling swaps that meet,
+so memory grows with the runs kept, not the tokens stood for. Both
+changes remove an even number of tokens of one kind, so the parity of each
+count survives.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+from typing import Iterable, Iterator
 
 from .permutation import Permutation
 
@@ -40,33 +42,17 @@ class TransformToken(str, enum.Enum):
 
 _SHIFTS = (TransformToken.T2, TransformToken.T2P)
 
-
-def token_permutation(token: TransformToken, width: int) -> Permutation:
-    """The permutation a single token denotes at the given width."""
-    size = 1 << width
-    if token in _SHIFTS:
-        return Permutation(width, tuple((x + 1) % size for x in range(size)))
-    lo = 0 if token is TransformToken.T1 else size - 2
-    mapping = list(range(size))
-    mapping[lo], mapping[lo + 1] = mapping[lo + 1], mapping[lo]
-    return Permutation(width, mapping)
+# A run ``(token, count)`` stands for ``count`` copies of ``token`` in a row.
+Run = tuple[TransformToken, int]
 
 
-def compose_tokens(tokens: list[TransformToken], width: int) -> Permutation:
-    """Apply a token list in order (first token first)."""
-    p = Permutation.identity(width)
-    for t in tokens:
-        p = p.then(token_permutation(t, width))
-    return p
-
-
-def adjacent_swap_tokens(a: int, width: int, variant: str = "standard") -> list[TransformToken]:
-    """Tokens realizing the adjacent transposition ``(a, a+1)``.
+def adjacent_swap_tokens(a: int, width: int, variant: str = "standard") -> list[Run]:
+    """Runs realizing the adjacent transposition ``(a, a+1)``.
 
     Standard variant: shift ``(a, a+1)`` onto ``(0, 1)`` with ``2**n - a``
     ``T2`` steps, swap, shift back with ``a`` steps. Primed variant: shift
-    onto the top pair instead. Emitted literally, including full-cycle
-    shift runs.
+    onto the top pair instead. Literal: a full-cycle shift run stays
+    whole, and only a run of 0 shifts is left out.
     """
     size = 1 << width
     if not 0 <= a <= size - 2:
@@ -79,11 +65,12 @@ def adjacent_swap_tokens(a: int, width: int, variant: str = "standard") -> list[
     else:
         shift, swap_tok = TransformToken.T2P, TransformToken.T1P
         lead = size - 2 - a
-    return [shift] * lead + [swap_tok] + [shift] * (size - lead)
+    runs = ((shift, lead), (swap_tok, 1), (shift, size - lead))
+    return [run for run in runs if run[1]]
 
 
-def transposition_tokens(i: int, j: int, width: int, variant: str = "standard") -> list[TransformToken]:
-    """Tokens realizing the transposition ``(i, j)``, ``i < j``.
+def transposition_tokens(i: int, j: int, width: int, variant: str = "standard") -> list[Run]:
+    """Runs realizing the transposition ``(i, j)``, ``i < j``.
 
     The moving element bubbles up through ``j - i`` adjacent swaps, then the
     displaced elements bubble back through ``j - i - 1`` more: an odd count,
@@ -91,7 +78,7 @@ def transposition_tokens(i: int, j: int, width: int, variant: str = "standard") 
     """
     if not 0 <= i < j < (1 << width):
         raise ValueError(f"need 0 <= i < j < 2**width, got ({i}, {j})")
-    out: list[TransformToken] = []
+    out: list[Run] = []
     for a in range(i, j):
         out.extend(adjacent_swap_tokens(a, width, variant))
     for a in range(j - 2, i - 1, -1):
@@ -99,44 +86,44 @@ def transposition_tokens(i: int, j: int, width: int, variant: str = "standard") 
     return out
 
 
+def generator_runs(p: Permutation, variant: str = "standard") -> Iterator[Run]:
+    """The literal recipe for ``p`` as runs, one transposition at a time,
+    so only one transposition's runs are held at once."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    for i, j in p.to_transpositions():
+        yield from transposition_tokens(i, j, p.width, variant)
+
+
 def decompose_generators(p: Permutation, variant: str = "standard") -> list[TransformToken]:
     """Decompose a permutation into a generator-token sequence.
 
     Composing the returned tokens in list order reproduces ``p`` exactly.
-    The identity yields an empty list.
+    The identity yields an empty list. This is the expansion of
+    :func:`generator_runs`, token by token.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     out: list[TransformToken] = []
-    for i, j in p.to_transpositions():
-        out.extend(transposition_tokens(i, j, p.width, variant))
+    for tok, count in generator_runs(p, variant):
+        out += [tok] * count
     return out
 
 
-def reduce_tokens(
-    tokens: list[TransformToken], width: int
-) -> list[tuple[TransformToken, int]]:
-    """Fold a token stream into ``(token, count)`` runs of the same
+def reduce_tokens(runs: Iterable[Run], width: int) -> list[Run]:
+    """Fold ``(token, count)`` runs into fewer runs of the same
     composition.
 
-    A stack pass over the stream's runs: a run joins the run of the same
-    token on top, and the count is reduced modulo the token's order
-    (``2**width`` for a shift, 2 for a swap); a run reduced to 0 is
-    dropped. Cancellation cascades, because whatever a dropped run exposed
-    meets the next run. In the result no count is 0 or ``>= 2**width``,
-    swaps have count 1, and no two neighbouring runs share a token.
+    A stack pass: a run joins the run of the same token on top, and the
+    count is reduced modulo the token's order (``2**width`` for a shift,
+    2 for a swap); a run reduced to 0 is dropped. Cancellation cascades,
+    because whatever a dropped run exposed meets the next run. In the
+    result no count is 0 or ``>= 2**width``, swaps have count 1, and no
+    two neighbouring runs share a token.
     """
-    out: list[tuple[TransformToken, int]] = []
-    for tok, run in itertools.groupby(tokens):
-        count = len(list(run))
+    out: list[Run] = []
+    for tok, count in runs:
         if out and out[-1][0] is tok:
             count += out.pop()[1]
         count %= (1 << width) if tok in _SHIFTS else 2
         if count:
             out.append((tok, count))
     return out
-
-
-def expand_runs(runs: list[tuple[TransformToken, int]]) -> list[TransformToken]:
-    """The token list a run list stands for."""
-    return [tok for tok, count in runs for _ in range(count)]

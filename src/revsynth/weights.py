@@ -39,9 +39,6 @@ class WeightClassDecomposition:
     width: int
     classes: tuple[tuple[int, ...], ...]
 
-    def is_identity(self, k: int) -> bool:
-        return all(img == i for i, img in enumerate(self.classes[k]))
-
 
 def weight_decompose(p: Permutation) -> WeightClassDecomposition:
     """Split a conservative permutation into its weight-class actions.

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from revsynth.circuit import Circuit, GateInstance, GateKind
+from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation
 
 
@@ -49,3 +50,20 @@ def random_primitive_circuit(
         kind = rng.choice((GateKind.VTOF, GateKind.FRED))
         gates.append(GateInstance(kind, lines))
     return Circuit(width, tuple(gates))
+
+
+def compose_runs(runs, width: int) -> Permutation:
+    """Oracle: apply ``(token, count)`` runs in order, first run first. A
+    shift run adds ``count`` modulo ``2**width``; a swap run exchanges its
+    state pair iff ``count`` is odd (``T1``: 0 and 1, ``T1'``: the two
+    largest states)."""
+    size = 1 << width
+    mapping = list(range(size))
+    for tok, count in runs:
+        if tok in (TransformToken.T2, TransformToken.T2P):
+            mapping = [(y + count) % size for y in mapping]
+        elif count % 2:
+            lo = 0 if tok is TransformToken.T1 else size - 2
+            swap = {lo: lo + 1, lo + 1: lo}
+            mapping = [swap.get(y, y) for y in mapping]
+    return Permutation(width, mapping)

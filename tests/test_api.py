@@ -12,6 +12,7 @@ REMOVED = (
     "synth_t2",  # toffoli.increment
     "parity",  # Permutation.parity
     "synth_t1",  # toffoli.transposition_gates(0, 1, n)
+    "pair_tokens",  # even.pair_runs
 )
 
 

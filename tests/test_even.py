@@ -1,5 +1,5 @@
-"""Even-permutation synthesis: token pairing, pair fragments, fused gate,
-and the no-extra-lines pipeline."""
+"""Even-permutation synthesis: pairing over token runs, pair fragments,
+fused gate, and the no-extra-lines pipeline."""
 
 from __future__ import annotations
 
@@ -13,46 +13,58 @@ from revsynth.errors import (
     OddTokenCountError,
     WidthOutOfRangeError,
 )
-from revsynth.even import TokenPair, pair_tokens, synth_even, synth_fused, synth_pair
-from revsynth.generators import TransformToken, compose_tokens
+from revsynth.even import TokenPair, pair_runs, synth_even, synth_fused, synth_pair
+from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.verify import verify_realizes
 
-T1P, T2P = TransformToken.T1P, TransformToken.T2P
+from conftest import compose_runs
 
-_PAIR_TOKENS = {
-    TokenPair.M1: [T1P, T1P],
-    TokenPair.M2: [T2P, T2P],
-    TokenPair.M3: [T1P, T2P],
-    TokenPair.M4: [T2P, T1P],
+T1P, T2P = TransformToken.T1P, TransformToken.T2P
+M1, M2, M3, M4 = TokenPair.M1, TokenPair.M2, TokenPair.M3, TokenPair.M4
+
+_PAIR_RUNS = {
+    M1: [(T1P, 2)],
+    M2: [(T2P, 2)],
+    M3: [(T1P, 1), (T2P, 1)],
+    M4: [(T2P, 1), (T1P, 1)],
 }
 
 
 def test_pair_tokens_frozen_examples():
-    assert pair_tokens([]) == []
-    assert pair_tokens([T1P, T1P]) == [TokenPair.M1]
-    assert pair_tokens([T2P, T2P, T1P, T1P]) == [TokenPair.M2, TokenPair.M1]
-    assert pair_tokens([T1P, T2P, T2P, T1P]) == [TokenPair.M3, TokenPair.M4]
-    assert pair_tokens([T2P, T1P, T1P, T2P]) == [TokenPair.M4, TokenPair.M3]
+    assert pair_runs([]) == []
+    assert pair_runs([(T1P, 2)]) == [(M1, 1)]
+    assert pair_runs([(T2P, 2), (T1P, 2)]) == [(M2, 1), (M1, 1)]
+    assert pair_runs([(T1P, 1), (T2P, 2), (T1P, 1)]) == [(M3, 1), (M4, 1)]
+    assert pair_runs([(T2P, 1), (T1P, 2), (T2P, 1)]) == [(M4, 1), (M3, 1)]
+    # An odd run lends its last token to the next pair; runs of one pair
+    # kind merge, including doubled shifts split over several runs.
+    assert pair_runs([(T2P, 7), (T1P, 2), (T2P, 5)]) == [
+        (M2, 3), (M4, 1), (M3, 1), (M2, 2)
+    ]
+    assert pair_runs([(T2P, 4), (T2P, 2)]) == [(M2, 3)]
+    assert pair_runs([(T1P, 1), (T2P, 1)] * 2) == [(M3, 2)]
 
 
 def test_pair_tokens_rejects_odd_counts():
     with pytest.raises(OddTokenCountError):
-        pair_tokens([T1P])
+        pair_runs([(T1P, 1)])
     with pytest.raises(OddTokenCountError):
-        pair_tokens([T1P, T2P, T2P])
+        pair_runs([(T1P, 1), (T2P, 2)])
+    with pytest.raises(OddTokenCountError):
+        pair_runs([(T2P, 3)])
 
 
 def test_pair_tokens_rejects_unprimed_tokens():
     with pytest.raises(ValueError):
-        pair_tokens([TransformToken.T1, TransformToken.T1])
+        pair_runs([(TransformToken.T1, 2)])
 
 
 @pytest.mark.parametrize("pair", list(TokenPair))
 @pytest.mark.parametrize("n", [3, 4])
 def test_pair_fragments_match_token_composition(pair: TokenPair, n: int):
     got = circuit_to_permutation(synth_pair(pair, n))
-    want = compose_tokens(_PAIR_TOKENS[pair], n)
+    want = compose_runs(_PAIR_RUNS[pair], n)
     assert got.mapping == want.mapping
 
 

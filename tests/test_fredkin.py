@@ -180,7 +180,7 @@ def test_synth_ckswap_bounds():
 def test_stage_plan_locks_classes_in_ascending_order():
     rng = random.Random(47)
     for _ in range(6):
-        n = rng.randint(3, 5)
+        n = rng.randint(3, 6)
         p = sample_permutation(n, "conservative", seed=rng.getrandbits(32))
         plan = conservative_stage_plan(p)
         assert [k for k, _ in plan] == list(range(1, n))

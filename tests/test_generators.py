@@ -1,5 +1,5 @@
-"""Generator-token decomposition: token semantics, adjacent swaps, parity
-bookkeeping."""
+"""Generator-token decomposition: run semantics, adjacent swaps, parity
+bookkeeping, run reduction."""
 
 from __future__ import annotations
 
@@ -10,17 +10,22 @@ import pytest
 from revsynth.generators import (
     TransformToken,
     adjacent_swap_tokens,
-    compose_tokens,
     decompose_generators,
-    expand_runs,
+    generator_runs,
     reduce_tokens,
-    token_permutation,
     transposition_tokens,
 )
 from revsynth.permutation import Permutation, sample_permutation
 
+from conftest import compose_runs
+
 T1, T2 = TransformToken.T1, TransformToken.T2
 T1P, T2P = TransformToken.T1P, TransformToken.T2P
+
+
+def _count(runs, tok) -> int:
+    """How many ``tok`` tokens the runs stand for."""
+    return sum(count for t, count in runs if t is tok)
 
 
 def test_token_values():
@@ -35,28 +40,34 @@ def test_token_permutations():
     # tokens are the +1 rotation.
     for width in (2, 3):
         size = 1 << width
-        t1 = token_permutation(T1, width)
+        t1 = compose_runs([(T1, 1)], width)
         assert t1(0) == 1 and t1(1) == 0
         assert all(t1(x) == x for x in range(2, size))
-        t1p = token_permutation(T1P, width)
+        t1p = compose_runs([(T1P, 1)], width)
         assert t1p(size - 2) == size - 1 and t1p(size - 1) == size - 2
         assert all(t1p(x) == x for x in range(size - 2))
         for shift in (T2, T2P):
-            t2 = token_permutation(shift, width)
+            t2 = compose_runs([(shift, 1)], width)
             assert all(t2(x) == (x + 1) % size for x in range(size))
 
 
 def test_compose_tokens_order():
-    # First token applies first: T1 then T2 sends 0 -> 1 -> 2.
-    p = compose_tokens([T1, T2], 2)
+    # First run applies first: T1 then T2 sends 0 -> 1 -> 2.
+    p = compose_runs([(T1, 1), (T2, 1)], 2)
     assert p(0) == 2
-    assert compose_tokens([], 3).is_identity()
+    assert compose_runs([], 3).is_identity()
+    # A swap run of even count and a full-cycle shift run are identities.
+    assert compose_runs([(T1P, 2), (T2P, 8)], 3).is_identity()
 
 
 def test_adjacent_swap_frozen_example():
     # Swapping states 2 and 3 at width 2: two shifts bring (2, 3) onto
-    # (0, 1), one swap, two shifts restore.
-    assert adjacent_swap_tokens(2, 2) == [T2, T2, T1, T2, T2]
+    # (0, 1), one swap, two shifts restore. A run of 0 shifts is left out,
+    # and a full-cycle run stays whole.
+    assert adjacent_swap_tokens(2, 2) == [(T2, 2), (T1, 1), (T2, 2)]
+    assert adjacent_swap_tokens(0, 2) == [(T2, 4), (T1, 1)]
+    assert adjacent_swap_tokens(2, 2, "primed") == [(T1P, 1), (T2P, 4)]
+    assert adjacent_swap_tokens(0, 2, "primed") == [(T2P, 2), (T1P, 1), (T2P, 2)]
 
 
 def test_adjacent_swap_token_budget():
@@ -69,11 +80,12 @@ def test_adjacent_swap_token_budget():
                 ("standard", T1, T2),
                 ("primed", T1P, T2P),
             ):
-                toks = adjacent_swap_tokens(a, width, variant)
-                assert toks.count(swap_tok) == 1
-                assert toks.count(shift) == size
-                assert len(toks) == size + 1
-                got = compose_tokens(toks, width)
+                runs = adjacent_swap_tokens(a, width, variant)
+                assert all(count > 0 for _, count in runs)
+                assert _count(runs, swap_tok) == 1
+                assert _count(runs, shift) == size
+                assert len(runs) <= 3
+                got = compose_runs(runs, width)
                 want = Permutation.from_cycle(width, (a, a + 1))
                 assert got.mapping == want.mapping
 
@@ -95,8 +107,8 @@ def test_transposition_tokens_realize_transpositions():
         i = rng.randrange(size - 1)
         j = rng.randrange(i + 1, size)
         for variant in ("standard", "primed"):
-            toks = transposition_tokens(i, j, width, variant)
-            got = compose_tokens(toks, width)
+            runs = transposition_tokens(i, j, width, variant)
+            got = compose_runs(runs, width)
             want = Permutation.from_cycle(width, (i, j))
             assert got.mapping == want.mapping
 
@@ -108,11 +120,11 @@ def test_transposition_uses_odd_many_adjacent_swaps():
         size = 1 << width
         for i in range(size - 1):
             for j in range(i + 1, size):
-                toks = transposition_tokens(i, j, width, "primed")
-                swaps = toks.count(T1P)
+                runs = transposition_tokens(i, j, width, "primed")
+                swaps = _count(runs, T1P)
                 assert swaps == 2 * (j - i) - 1
-                assert toks.count(T2P) == size * swaps
-                assert toks.count(T2P) % 2 == 0
+                assert _count(runs, T2P) == size * swaps
+                assert _count(runs, T2P) % 2 == 0
 
 
 def test_decompose_generators_reproduces_permutation():
@@ -121,8 +133,18 @@ def test_decompose_generators_reproduces_permutation():
         width = rng.randint(2, 3)
         p = sample_permutation(width, "any", seed=rng.getrandbits(32))
         for variant in ("standard", "primed"):
-            toks = decompose_generators(p, variant)
-            assert compose_tokens(toks, width).mapping == p.mapping
+            runs = list(generator_runs(p, variant))
+            assert compose_runs(runs, width).mapping == p.mapping
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5])
+@pytest.mark.parametrize("variant", ["standard", "primed"])
+def test_decompose_generators_expands_the_runs(width, variant):
+    p = sample_permutation(width, "any", seed=77 + width)
+    runs = list(generator_runs(p, variant))
+    assert decompose_generators(p, variant) == [
+        tok for tok, count in runs for _ in range(count)
+    ]
 
 
 def test_decompose_identity_is_empty():
@@ -145,43 +167,48 @@ def test_even_permutations_give_even_token_counts():
 def test_decompose_rejects_unknown_variant():
     with pytest.raises(ValueError):
         decompose_generators(Permutation.identity(2), "mixed")
+    with pytest.raises(ValueError):
+        list(generator_runs(Permutation.identity(2), "mixed"))
 
 
 def test_reduce_tokens_frozen_example():
     # Width 2: four shifts make a full cycle and vanish, which brings the
     # two swaps together; they cancel, and the shift runs around them merge.
-    toks = [T2, T2, T1, T2, T2, T2, T2, T1, T2]
-    assert reduce_tokens(toks, 2) == [(T2, 3)]
-    assert reduce_tokens([T2] * 9, 2) == [(T2, 1)]
-    assert reduce_tokens([T1P, T2P, T2P, T1P], 1) == []
+    runs = [(T2, 2), (T1, 1), (T2, 2), (T2, 2), (T1, 1), (T2, 1)]
+    assert reduce_tokens(runs, 2) == [(T2, 3)]
+    assert reduce_tokens([(T2, 9)], 2) == [(T2, 1)]
+    assert reduce_tokens([(T2, 5), (T2, 4)], 2) == [(T2, 1)]
+    assert reduce_tokens([(T1P, 1), (T2P, 2), (T1P, 1)], 1) == []
     assert reduce_tokens([], 3) == []
 
 
-@pytest.mark.parametrize("width", [3, 4, 5, 6])
+# Each variant on the permutations of the route that compiles from it.
+_REDUCE_CASES = [
+    ("standard", "any", T1, T2, w) for w in (3, 4, 5, 6)
+] + [("primed", "even", T1P, T2P, w) for w in (3, 4, 5, 6, 7)]
+
+
 @pytest.mark.parametrize(
-    "variant, kind, swap_tok, shift",
-    # Each variant on the permutations of the route that compiles from it.
-    [("standard", "any", T1, T2), ("primed", "even", T1P, T2P)],
+    "variant, kind, swap_tok, shift, width",
+    _REDUCE_CASES,
+    ids=[f"{v}-{k}-{a.value}-{b.value}-{w}" for v, k, a, b, w in _REDUCE_CASES],
 )
 def test_reduce_tokens_keeps_composition_and_parity(
     width, variant, kind, swap_tok, shift
 ):
     size = 1 << width
     p = sample_permutation(width, kind, seed=1000 * width + size)
-    literal = decompose_generators(p, variant)
+    literal = list(generator_runs(p, variant))
     runs = reduce_tokens(literal, width)
-    reduced = expand_runs(runs)
-    # Composing the literal stream costs seconds at width 6; there the
-    # reference is p itself, which the literal stream composes to.
-    want = compose_tokens(literal, width) if width < 6 else p
-    assert compose_tokens(reduced, width).mapping == want.mapping
+    assert compose_runs(literal, width).mapping == p.mapping
+    assert compose_runs(runs, width).mapping == p.mapping
     for tok in (swap_tok, shift):
-        assert reduced.count(tok) % 2 == literal.count(tok) % 2
+        assert _count(runs, tok) % 2 == _count(literal, tok) % 2
         if kind == "even":
-            assert reduced.count(tok) % 2 == 0
+            assert _count(runs, tok) % 2 == 0
     for tok, count in runs:
         assert 0 < count < size
         if tok is swap_tok:
             assert count == 1
     assert all(a[0] is not b[0] for a, b in zip(runs, runs[1:]))
-    assert len(reduced) < len(literal)
+    assert _count(runs, swap_tok) + _count(runs, shift) < sum(c for _, c in literal)

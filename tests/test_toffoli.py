@@ -17,7 +17,7 @@ from revsynth.circuit import (
 )
 from revsynth.errors import InsufficientLinesError, WidthOutOfRangeError
 from revsynth.expand import expand_macros
-from revsynth.generators import TransformToken, token_permutation
+from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.toffoli import (
     increment,
@@ -31,7 +31,7 @@ from revsynth.toffoli import (
 )
 from revsynth.verify import verify_realizes
 
-from conftest import cknot_permutation
+from conftest import cknot_permutation, compose_runs
 
 
 def realized(width: int, gates) -> Permutation:
@@ -106,7 +106,7 @@ def test_t2_block_increments():
     for n in (1, 2, 3, 4):
         c = Circuit(n, increment(range(1, n + 1)))
         assert len(c.gates) == n
-        want = token_permutation(TransformToken.T2, n)
+        want = compose_runs([(TransformToken.T2, 1)], n)
         assert circuit_to_permutation(c).mapping == want.mapping
 
 

@@ -8,9 +8,30 @@ import sys
 from pathlib import Path
 
 import revsynth
-from revsynth import sample_permutation, synth_general, verify_realizes
+from revsynth import (
+    sample_permutation,
+    synth_conservative,
+    synth_even,
+    synth_general,
+    verify_realizes,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Every object the tracer patches an attribute of.
+OWNERS = (
+    revsynth,
+    revsynth.generators,
+    revsynth.toffoli,
+    revsynth.even,
+    revsynth.fredkin,
+    revsynth.weights,
+    revsynth.expand,
+    revsynth.verify,
+    revsynth.netlist,
+    revsynth.circuit.Circuit,
+    revsynth.circuit.GateInstance,
+)
 
 
 def test_tracer_installs_and_restores(monkeypatch):
@@ -18,14 +39,27 @@ def test_tracer_installs_and_restores(monkeypatch):
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
     from tracer import Tracer
 
-    before = revsynth.toffoli.decompose_generators
+    saved = [(owner, dict(vars(owner))) for owner in OWNERS]
+    decompose = revsynth.generators.decompose_generators
     tracer = Tracer()
     try:
         tracer.install(revsynth)
-        assert revsynth.toffoli.decompose_generators is not before
-        p = sample_permutation(3, "any", seed=1)
-        assert verify_realizes(synth_general(p), p).passed
+        # No route calls these bindings, but the tracer requires them.
+        assert revsynth.toffoli.decompose_generators is not decompose
+        assert revsynth.even.decompose_generators is not decompose
+        routes = (
+            (synth_general, "any", 3),
+            (synth_even, "even", 4),
+            (synth_conservative, "conservative", 4),
+        )
+        for synth, kind, width in routes:
+            p = sample_permutation(width, kind, seed=1)
+            assert verify_realizes(synth(p), p).passed
     finally:
         tracer.restore()
-    assert revsynth.toffoli.decompose_generators is before
+    for owner, attrs in saved:
+        for name, value in attrs.items():
+            assert vars(owner).get(name) is value, (owner, name)
     assert tracer.counts["toffoli.cknot_calls"] > 0
+    assert any(tracer.counts[f"even.pairs.{pair}"] for pair in ("M3", "M4"))
+    assert tracer.counts["fredkin.macro_gates"] > 0

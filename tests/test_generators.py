@@ -133,8 +133,8 @@ def test_decompose_generators_reproduces_permutation():
         width = rng.randint(2, 3)
         p = sample_permutation(width, "any", seed=rng.getrandbits(32))
         for variant in ("standard", "primed"):
-            runs = list(generator_runs(p, variant))
-            assert compose_runs(runs, width).mapping == p.mapping
+            toks = decompose_generators(p, variant)
+            assert compose_runs([(t, 1) for t in toks], width).mapping == p.mapping
 
 
 @pytest.mark.parametrize("width", [2, 3, 4, 5])

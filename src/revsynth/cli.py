@@ -18,7 +18,7 @@ from .analysis import (
     independence_check,
     parity_vector,
 )
-from .errors import RevsynthError
+from .errors import RangeError, RevsynthError
 from .even import synth_even
 from .fredkin import synth_conservative
 from .netlist import read_netlist, write_netlist
@@ -130,6 +130,8 @@ def cmd_independence(args: argparse.Namespace) -> int:
 
 
 def cmd_embedded_parity(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise RangeError(f"--count must be at least 1, got {args.count}")
     parities = []
     for i in range(args.count):
         g = sample_permutation(args.width, "any", args.seed + i)

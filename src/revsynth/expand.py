@@ -1,12 +1,14 @@
 """Macro expansion: lower CKNOT/CKSWAP macro gates to a primitive alphabet.
 
 The VTOF alphabet lowers CKNOT macros through the recursive helper-line
-construction; the FRED alphabet lowers CKSWAP macros through the merged
-controlled-swap construction against an ancilla line. Helper lines are
-chosen deterministically: among lines a gate does not touch, prefer data,
-then borrowed, then ancilla, and within a role class take the highest
-index first. That rule keeps full-width gates on the designated extra
-line while narrower gates borrow nearby data lines.
+construction; the FRED alphabet lowers CKSWAP macros through one
+borrowed-pair cascade paired on the last control and an ancilla line:
+3, 10, 46, 190 gates at k=2..5 against a 0 ancilla, T(k) = 4 T(k-1) + 6
+from k=4, and 5, 15, 61, 251 against a 1, which adds a C^(k-1)SWAP tail.
+Helper lines are chosen deterministically: among lines a gate does not
+touch, prefer data, then borrowed, then ancilla, and within a role class
+take the highest index first. That rule keeps full-width gates on the
+designated extra line while narrower gates borrow nearby data lines.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ within each Hamming-weight class, any permutation is a product of
 transpositions, each transposition is a chain of controlled swaps along a
 Hamming path, and each multi-controlled swap lowers to plain Fredkin gates
 against one extra line. The controlled-swap lowering is the heart of the
-module: a recursive construction whose inner levels borrow their enclosing
-gate's target pair as scratch space, so a single extra line serves any
-control count.
+module: a recursive cascade that takes the last control and the extra line
+as its borrowed pair, and whose inner levels borrow their enclosing gate's
+target pair, so a single extra line serves any control count.
 """
 
 from __future__ import annotations
@@ -148,43 +148,43 @@ def ckswap_fred_with_ancilla(
     line whose starting value is known.
 
     Exact on the subspace where the ancilla holds ``ancilla_value``
-    (restored there). The 0-valued route conjugates a CSWAP-from-ancilla
-    by a borrowed-pair C^(k-1)SWAP that parks the last control's product
-    on the ancilla. The 1-valued route cannot park a product on the
-    ancilla (no zero to write into), so it fires the target swap an
-    adjusted number of times: each level contributes two conditional
-    swaps that cancel unless the remaining controls are all 1, plus a
-    recursive tail one control shorter.
+    (restored there). For k >= 3 the last control and the ancilla are the
+    borrowed pair of one C^(k-1)SWAP cascade, which swaps iff the other
+    controls P are all 1 and the last control differs from the ancilla:
+    the whole C^kSWAP for a 0 ancilla. At k=2 a one-control cascade would
+    ignore its pair, so the product is parked on the ancilla around one
+    swap from it. Under a 1 ancilla either form fires on P and not c_k,
+    and a tail one control shorter adds P. Gates at k=2..5: 3, 10, 46, 190
+    against 0 (the cascade's T(k-1) from k=3); 5, 15, 61, 251 against 1,
+    T1(k) = T0(k) + T1(k-1).
     """
     k = len(controls)
     if k == 1:
         return (fred(controls[0], targets[0], targets[1]),)
-    if ancilla_value == 0:
-        if k == 0:
-            raise RangeError(
-                "an unconditional swap cannot be driven by a 0-valued ancilla"
-            )
-        child = _merged_ckswap(controls[:-1], (controls[-1], ancilla_line), targets)
-        mid = fred(ancilla_line, targets[0], targets[1])
-        return tuple(child) + (mid,) + tuple(child)
+    if k == 0 and ancilla_value == 0:
+        raise RangeError("an unconditional swap needs a 1-valued ancilla")
+    fire = fred(ancilla_line, targets[0], targets[1])
     if k == 0:
-        return (fred(ancilla_line, targets[0], targets[1]),)
-    child = _merged_ckswap(controls[:-1], (controls[-1], ancilla_line), targets)
-    flip = fred(ancilla_line, targets[0], targets[1])
-    tail = ckswap_fred_with_ancilla(
-        controls[:-1], targets, ancilla_line, ancilla_value
-    )
-    return tuple(child) + (flip,) + tuple(child) + (flip,) + tail
+        return (fire,)
+    if k == 2:
+        # A 1-valued park fires on not (c1 and not c2); one more fire
+        # leaves c1 and not c2, as the k >= 3 cascade fires.
+        park = fred(controls[0], controls[1], ancilla_line)
+        gates = (park, fire, park) + (fire,) * ancilla_value
+    else:
+        pair = (controls[-1], ancilla_line)
+        gates = tuple(_merged_ckswap(controls[:-1], targets, pair))
+    if ancilla_value == 0:
+        return gates
+    return gates + ckswap_fred_with_ancilla(controls[:-1], targets, ancilla_line, 1)
 
 
 def synth_ckswap(k: int) -> Circuit:
     """Primitive FRED circuit for the C^kSWAP on k+3 lines: k controls,
     two targets, one ancilla fixed at 0 (k=1 is a single Fredkin gate on
-    3 lines, no ancilla).
-
-    The ancilla construction is used only at the top level; every level
-    below runs the borrowed-pair construction, borrowing its enclosing
-    gate's target pair.
+    3 lines, no ancilla). From k=3 it is one borrowed-pair cascade on the
+    first k-1 controls, paired on line k and the ancilla: 10, 46, 190 gates
+    at k=3..5, T(k) = 4 T(k-1) + 6.
     """
     if k < 1:
         raise RangeError(f"control count must be at least 1, got {k}")

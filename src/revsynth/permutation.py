@@ -248,7 +248,7 @@ def _parse_truth_table(rows: list[list[str]]) -> Permutation:
             raise ValueError(
                 f"inconsistent bit-string lengths in row {src} {dst}"
             )
-        if set(src) | set(dst) > {"0", "1"}:
+        if not set(src + dst) <= {"0", "1"}:
             raise ValueError(f"non-binary truth-table row: {src} {dst}")
         x, y = int(src, 2), int(dst, 2)
         if x in mapping:

@@ -231,6 +231,17 @@ def test_embedded_parity_json(capsys):
     assert payload["parities"] == ["even"] * 3
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_embedded_parity_rejects_a_non_positive_count(count, capsys):
+    # Zero samples would otherwise report "all even" over nothing.
+    argv = ["analyze", "embedded-parity", "--n", "4", "--count", count]
+    assert main(argv) == 2
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --count must be at least 1" in captured.err
+
+
 def test_sample_output_is_deterministic(tmp_path, capsys):
     assert main(["sample", "--width", "3", "--seed", "5"]) == 0
     first = capsys.readouterr().out

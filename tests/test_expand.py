@@ -132,16 +132,20 @@ def test_expand_fred_unconditional_swap_needs_one_line():
 @pytest.mark.parametrize("value", [0, 1])
 def test_expand_fred_multi_control_against_either_ancilla(value: int):
     role = LineRole.ANCILLA0 if value == 0 else LineRole.ANCILLA1
-    roles = (LineRole.DATA,) * 4 + (role,)
-    c = Circuit(5, (ckswap((1, 2), 3, 4),), roles)
-    out = expand_macros(c, "FRED")
-    assert all(g.kind is GateKind.FRED for g in out.gates)
-    # Exact agreement on every state whose ancilla holds its declared
-    # value, ancilla restored included.
-    for s in range(32):
-        if (s & 1) != value:
-            continue
-        assert simulate(out, s) == simulate(c, s)
+    sizes = {0: (3, 10, 46, 190), 1: (5, 15, 61, 251)}[value]
+    for k, size in zip(range(2, 6), sizes):
+        width = k + 3
+        roles = (LineRole.DATA,) * (k + 2) + (role,)
+        c = Circuit(width, (ckswap(tuple(range(1, k + 1)), k + 1, k + 2),), roles)
+        out = expand_macros(c, "FRED")
+        assert all(g.kind is GateKind.FRED for g in out.gates)
+        assert len(out.gates) == size
+        # Exact agreement on every state whose ancilla holds its declared
+        # value, ancilla restored included.
+        for s in range(1 << width):
+            if (s & 1) != value:
+                continue
+            assert simulate(out, s) == simulate(c, s)
 
 
 def test_expand_fred_multi_control_needs_an_ancilla():

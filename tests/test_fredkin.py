@@ -156,7 +156,7 @@ def test_synth_ckswap_borrowed_pair_both_regimes(k: int):
 
 @pytest.mark.parametrize(
     "k, lines, gate_count",
-    [(1, 3, 1), (2, 5, 3), (3, 6, 21), (4, 7, 93), (5, 8, 381)],
+    [(1, 3, 1), (2, 5, 3), (3, 6, 10), (4, 7, 46), (5, 8, 190)],
 )
 def test_synth_ckswap_exact_with_frozen_counts(k: int, lines: int, gate_count: int):
     c = synth_ckswap(k)

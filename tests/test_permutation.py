@@ -202,3 +202,8 @@ def test_parse_errors():
         parse_permutation("")
     with pytest.raises(ValueError):
         parse_permutation("00 01\n00 10\n01 00\n10 11\n11 11")  # duplicate input
+    # Rows that leave out 0 or 1 are still checked: int() alone would read
+    # 1_1 as 3 and fail on 22 with its own message.
+    for row in ("1_1 1_1", "22 11"):
+        with pytest.raises(ValueError, match="non-binary truth-table row"):
+            parse_permutation(row)

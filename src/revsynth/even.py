@@ -66,8 +66,6 @@ def pair_runs(runs: list[Run]) -> list[tuple[TokenPair, int]]:
     totals = {TransformToken.T1P: 0, TransformToken.T2P: 0}
     held = None  # the last token of an odd run, paired with the next token
     for tok, count in runs:
-        if tok not in totals:
-            raise ValueError(f"pairing applies to primed tokens, got {tok.value}")
         totals[tok] += count
         if held is not None:
             add(_PAIR_OF[held, tok], 1)
@@ -144,7 +142,7 @@ def synth_even(p: Permutation) -> Circuit:
     high = range(1, n)
     blocks: dict[TokenPair, tuple[GateInstance, ...]] = {}
     gates: list[GateInstance] = []
-    for pair, count in pair_runs(reduce_tokens(generator_runs(p, "primed"), n)):
+    for pair, count in pair_runs(reduce_tokens(generator_runs(p), n)):
         if pair is TokenPair.M2:
             # m doubled shifts add 2m: m on the high lines, modulo 2**(n-1).
             gates.extend(synth_add_constant(count, high))

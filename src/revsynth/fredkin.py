@@ -100,7 +100,6 @@ def synth_transposition(s1: str, s2: str, m: int) -> tuple[GateInstance, ...]:
         )
     if s1 == s2:
         raise EqualStringsError(f"cannot transpose {s1} with itself")
-    _check_weight_strings(s1, s2)
     path = hamming_path(s1, s2)
     forward = [_adjacent_swap_gate(path[i - 1], path[i]) for i in range(1, len(path))]
     return tuple(forward) + tuple(reversed(forward[:-1]))
@@ -156,7 +155,8 @@ def ckswap_fred_with_ancilla(
     swap from it. Under a 1 ancilla either form fires on P and not c_k,
     and a tail one control shorter adds P. Gates at k=2..5: 3, 10, 46, 190
     against 0 (the cascade's T(k-1) from k=3); 5, 15, 61, 251 against 1,
-    T1(k) = T0(k) + T1(k-1).
+    T1(k) = T0(k) + T1(k-1) from k=3 (at k=2 the extra fire gives
+    3 + 1 + 1).
     """
     k = len(controls)
     if k == 1:

@@ -1,20 +1,16 @@
 """Decomposition of permutations over two generator transforms.
 
 The full symmetric group on ``0 .. 2**n - 1`` is generated by two
-permutations, in either of two variants:
-
-* standard: ``T1`` swaps states 0 and 1; ``T2`` maps every state ``x`` to
-  ``(x + 1) mod 2**n``.
-* primed: ``T1'`` swaps the two largest states ``2**n - 2`` and ``2**n - 1``;
-  ``T2'`` is the same +1 shift as ``T2``.
+permutations: ``T1'`` swaps the two largest states ``2**n - 2`` and
+``2**n - 1``, and ``T2'`` maps every state ``x`` to ``(x + 1) mod 2**n``.
 
 ``generator_runs`` emits the literal textbook recipe as runs,
 ``(token, count)``, with no cancellation: transpositions, then adjacent
 swaps, then for each adjacent swap a shift run, one swap and the shift run
-back. Every adjacent swap costs exactly one ``T1`` (or ``T1'``) and
-``2**n`` shifts, so an even permutation always yields even counts of both
-primed tokens. ``decompose_generators`` expands those runs into the
-literal token list and stays the reference.
+back. Every adjacent swap costs exactly one ``T1'`` and ``2**n`` shifts,
+so an even permutation always yields even counts of both tokens.
+``decompose_generators`` expands those runs into the literal token list
+and stays the reference.
 
 ``reduce_tokens`` is the pass the even route compiles from: it folds the
 runs, reducing each shift run mod ``2**n`` and cancelling swaps that meet,
@@ -30,46 +26,33 @@ from typing import Iterable, Iterator
 
 from .permutation import Permutation
 
-_VARIANTS = ("standard", "primed")
-
 
 class TransformToken(str, enum.Enum):
-    T1 = "T1"
-    T2 = "T2"
     T1P = "T1'"
     T2P = "T2'"
 
-
-_SHIFTS = (TransformToken.T2, TransformToken.T2P)
 
 # A run ``(token, count)`` stands for ``count`` copies of ``token`` in a row.
 Run = tuple[TransformToken, int]
 
 
-def adjacent_swap_tokens(a: int, width: int, variant: str = "standard") -> list[Run]:
+def adjacent_swap_tokens(a: int, width: int) -> list[Run]:
     """Runs realizing the adjacent transposition ``(a, a+1)``.
 
-    Standard variant: shift ``(a, a+1)`` onto ``(0, 1)`` with ``2**n - a``
-    ``T2`` steps, swap, shift back with ``a`` steps. Primed variant: shift
-    onto the top pair instead. Literal: a full-cycle shift run stays
-    whole, and only a run of 0 shifts is left out.
+    Shift ``(a, a+1)`` onto the top pair with ``2**n - 2 - a`` ``T2'``
+    steps, swap, shift back with ``a + 2`` steps. Literal: a full-cycle
+    shift run stays whole, and only a run of 0 shifts is left out.
     """
     size = 1 << width
     if not 0 <= a <= size - 2:
         raise ValueError(f"adjacent swap start must be in [0, {size - 2}], got {a}")
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if variant == "standard":
-        shift, swap_tok = TransformToken.T2, TransformToken.T1
-        lead = size - a
-    else:
-        shift, swap_tok = TransformToken.T2P, TransformToken.T1P
-        lead = size - 2 - a
-    runs = ((shift, lead), (swap_tok, 1), (shift, size - lead))
+    shift, swap = TransformToken.T2P, TransformToken.T1P
+    lead = size - 2 - a
+    runs = ((shift, lead), (swap, 1), (shift, size - lead))
     return [run for run in runs if run[1]]
 
 
-def transposition_tokens(i: int, j: int, width: int, variant: str = "standard") -> list[Run]:
+def transposition_tokens(i: int, j: int, width: int) -> list[Run]:
     """Runs realizing the transposition ``(i, j)``, ``i < j``.
 
     The moving element bubbles up through ``j - i`` adjacent swaps, then the
@@ -80,22 +63,20 @@ def transposition_tokens(i: int, j: int, width: int, variant: str = "standard") 
         raise ValueError(f"need 0 <= i < j < 2**width, got ({i}, {j})")
     out: list[Run] = []
     for a in range(i, j):
-        out.extend(adjacent_swap_tokens(a, width, variant))
+        out.extend(adjacent_swap_tokens(a, width))
     for a in range(j - 2, i - 1, -1):
-        out.extend(adjacent_swap_tokens(a, width, variant))
+        out.extend(adjacent_swap_tokens(a, width))
     return out
 
 
-def generator_runs(p: Permutation, variant: str = "standard") -> Iterator[Run]:
+def generator_runs(p: Permutation) -> Iterator[Run]:
     """The literal recipe for ``p`` as runs, one transposition at a time,
     so only one transposition's runs are held at once."""
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     for i, j in p.to_transpositions():
-        yield from transposition_tokens(i, j, p.width, variant)
+        yield from transposition_tokens(i, j, p.width)
 
 
-def decompose_generators(p: Permutation, variant: str = "standard") -> list[TransformToken]:
+def decompose_generators(p: Permutation) -> list[TransformToken]:
     """Decompose a permutation into a generator-token sequence.
 
     Composing the returned tokens in list order reproduces ``p`` exactly.
@@ -103,7 +84,7 @@ def decompose_generators(p: Permutation, variant: str = "standard") -> list[Tran
     :func:`generator_runs`, token by token.
     """
     out: list[TransformToken] = []
-    for tok, count in generator_runs(p, variant):
+    for tok, count in generator_runs(p):
         out += [tok] * count
     return out
 
@@ -123,7 +104,7 @@ def reduce_tokens(runs: Iterable[Run], width: int) -> list[Run]:
     for tok, count in runs:
         if out and out[-1][0] is tok:
             count += out.pop()[1]
-        count %= (1 << width) if tok in _SHIFTS else 2
+        count %= (1 << width) if tok is TransformToken.T2P else 2
         if count:
             out.append((tok, count))
     return out

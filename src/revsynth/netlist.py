@@ -9,6 +9,7 @@ Format, one statement per line, ``#`` starting a comment anywhere::
     CKNOT <k> <c1> ... <ck> <target>
     CKSWAP <k> <c1> ... <ck> <t1> <t2>
 
+Every number is ASCII decimal, and the width lies in ``1..MAX_WIDTH``.
 Gates apply in file order. ``write_netlist`` followed by ``read_netlist``
 reproduces the circuit exactly. A netlist repeats a few distinct gates many
 times, so both directions handle each distinct gate (or gate statement) once
@@ -18,6 +19,7 @@ and reuse the result for its repeats.
 from __future__ import annotations
 
 from .circuit import Circuit, GateInstance, GateKind, LineRole
+from .permutation import MAX_WIDTH, parse_decimal
 
 _ROLE_NAMES = {r.value: r for r in LineRole}
 
@@ -63,11 +65,15 @@ def read_netlist(text: str) -> Circuit:
             if keyword == "lines":
                 if width is not None:
                     raise ValueError("duplicate 'lines' statement")
-                width = _int_token(tokens, 1, 2)
+                if len(tokens) != 2:
+                    raise ValueError(f"malformed statement {' '.join(tokens)!r}")
+                width = parse_decimal(tokens[1])
+                if not 1 <= width <= MAX_WIDTH:
+                    raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {width}")
             elif keyword == "role":
                 if len(tokens) != 3:
                     raise ValueError("role statement needs index and role name")
-                idx = _parse_int(tokens[1])
+                idx = parse_decimal(tokens[1])
                 if tokens[2] not in _ROLE_NAMES:
                     raise ValueError(f"unknown role {tokens[2]!r}")
                 if idx in roles:
@@ -76,24 +82,20 @@ def read_netlist(text: str) -> Circuit:
             elif keyword in ("VTOF", "FRED"):
                 if len(tokens) != 4:
                     raise ValueError(f"{keyword} needs exactly 3 line numbers")
-                gate = GateInstance(
-                    GateKind(keyword),
-                    (
-                        _parse_int(tokens[1]),
-                        _parse_int(tokens[2]),
-                        _parse_int(tokens[3]),
-                    ),
-                )
+                lines = tuple(map(parse_decimal, tokens[1:]))
+                gate = GateInstance(GateKind(keyword), lines)
                 gates.append(gate)
                 parsed[raw] = gate
             elif keyword in ("CKNOT", "CKSWAP"):
-                k = _int_token(tokens, 1, None)
+                if len(tokens) < 2:
+                    raise ValueError(f"malformed statement {' '.join(tokens)!r}")
+                k = parse_decimal(tokens[1])
                 wanted = k + (2 if keyword == "CKNOT" else 3)
                 if len(tokens) != wanted + 1:
                     raise ValueError(
                         f"{keyword} with k={k} needs {wanted - 1} line numbers"
                     )
-                lines = tuple(_parse_int(t) for t in tokens[2:])
+                lines = tuple(map(parse_decimal, tokens[2:]))
                 gate = GateInstance(GateKind(keyword), lines)
                 gates.append(gate)
                 parsed[raw] = gate
@@ -113,18 +115,3 @@ def read_netlist(text: str) -> Circuit:
         gates=tuple(gates),
         roles=tuple(roles[i] for i in range(1, width + 1)),
     )
-
-
-def _parse_int(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {token!r}") from None
-
-
-def _int_token(tokens: list[str], pos: int, expected_len: int | None) -> int:
-    if expected_len is not None and len(tokens) != expected_len:
-        raise ValueError(f"malformed statement {' '.join(tokens)!r}")
-    if len(tokens) <= pos:
-        raise ValueError(f"malformed statement {' '.join(tokens)!r}")
-    return _parse_int(tokens[pos])

@@ -223,18 +223,26 @@ def parse_permutation(text: str) -> Permutation:
         if len(header) != 2:
             raise ValueError(f"malformed header: {' '.join(header)!r}")
         try:
-            width = int(header[1])
+            width = parse_decimal(header[1])
         except ValueError:
             raise ValueError(f"malformed width: {header[1]!r}") from None
         flat: list[int] = []
         for toks in tokens_by_line[1:]:
             for t in toks:
                 try:
-                    flat.append(int(t))
+                    flat.append(parse_decimal(t))
                 except ValueError:
                     raise ValueError(f"malformed image: {t!r}") from None
         return Permutation(width, flat)
     return _parse_truth_table(tokens_by_line)
+
+
+def parse_decimal(token: str) -> int:
+    """A nonnegative integer written in ASCII digits. ``int`` alone would
+    also take a sign, underscores and non-ASCII digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"expected an integer of digits 0-9, got {token!r}")
+    return int(token)
 
 
 def _parse_truth_table(rows: list[list[str]]) -> Permutation:

@@ -2,7 +2,7 @@
 
 Building blocks are gate-list fragments over explicit lines (NOT, CNOT,
 CCNOT, and the recursive multi-controlled NOT), the increment ladder that
-adds 1 to a register of lines (the generator T2 on all n lines), and
+adds 1 to a register of lines (the generator T2' on all n lines), and
 ``synth_add_constant``, which adds any constant (the even route's shift
 blocks). ``synth_general`` swaps each transposition of the target with one
 full-width multi-controlled NOT conjugated by CNOTs and NOTs

@@ -55,15 +55,13 @@ def random_primitive_circuit(
 def compose_runs(runs, width: int) -> Permutation:
     """Oracle: apply ``(token, count)`` runs in order, first run first. A
     shift run adds ``count`` modulo ``2**width``; a swap run exchanges its
-    state pair iff ``count`` is odd (``T1``: 0 and 1, ``T1'``: the two
-    largest states)."""
+    state pair, the two largest states, iff ``count`` is odd."""
     size = 1 << width
     mapping = list(range(size))
     for tok, count in runs:
-        if tok in (TransformToken.T2, TransformToken.T2P):
+        if tok is TransformToken.T2P:
             mapping = [(y + count) % size for y in mapping]
         elif count % 2:
-            lo = 0 if tok is TransformToken.T1 else size - 2
-            swap = {lo: lo + 1, lo + 1: lo}
+            swap = {size - 2: size - 1, size - 1: size - 2}
             mapping = [swap.get(y, y) for y in mapping]
     return Permutation(width, mapping)

@@ -192,7 +192,7 @@ def test_criterion_06_even_token_counts(capsys):
     for i in range(100):
         width = 3 + (i % 2)
         p = sample_permutation(width, "even", seed=60_000 + 101 * i)
-        tokens = decompose_generators(p, "primed")
+        tokens = decompose_generators(p)
         swaps = sum(1 for t in tokens if t is TransformToken.T1P)
         shifts = len(tokens) - swaps
         ok &= swaps % 2 == 0 and shifts % 2 == 0

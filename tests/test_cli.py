@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import revsynth
 from revsynth.circuit import Circuit, vtof
 from revsynth.cli import main
 from revsynth.netlist import read_netlist, write_netlist
@@ -266,3 +271,35 @@ def test_sample_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["width"] == 3
     assert sorted(payload["mapping"]) == list(range(8))
+
+
+def run_module(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``python -m revsynth ARGS`` in a fresh process, importing the
+    package from the same tree as this test run."""
+    src = str(Path(revsynth.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "revsynth", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_module_runs_the_readme_example(tmp_path):
+    done = run_module("sample", "--width", "3", "--seed", "1", "--out", "p.perm",
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    done = run_module("synth", "p.perm", "--general", "--out", "p.netlist",
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "primitive_gates: 122" in done.stdout.splitlines()
+    assert (tmp_path / "p.netlist").read_text().startswith("lines 4\n")
+
+
+def test_module_exits_2_on_an_odd_permutation_for_even(tmp_path):
+    (tmp_path / "odd.perm").write_text(
+        format_permutation(Permutation.from_cycle(3, (0, 1)))
+    )
+    done = run_module("synth", "odd.perm", "--even", cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.strip() == "error: permutation is odd"

@@ -55,11 +55,6 @@ def test_pair_tokens_rejects_odd_counts():
         pair_runs([(T2P, 3)])
 
 
-def test_pair_tokens_rejects_unprimed_tokens():
-    with pytest.raises(ValueError):
-        pair_runs([(TransformToken.T1, 2)])
-
-
 @pytest.mark.parametrize("pair", list(TokenPair))
 @pytest.mark.parametrize("n", [3, 4])
 def test_pair_fragments_match_token_composition(pair: TokenPair, n: int):

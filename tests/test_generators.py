@@ -19,7 +19,6 @@ from revsynth.permutation import Permutation, sample_permutation
 
 from conftest import compose_runs
 
-T1, T2 = TransformToken.T1, TransformToken.T2
 T1P, T2P = TransformToken.T1P, TransformToken.T2P
 
 
@@ -29,65 +28,53 @@ def _count(runs, tok) -> int:
 
 
 def test_token_values():
-    assert T1.value == "T1"
-    assert T2.value == "T2"
-    assert T1P.value == "T1'"
-    assert T2P.value == "T2'"
+    assert [tok.value for tok in TransformToken] == ["T1'", "T2'"]
 
 
 def test_token_permutations():
-    # T1 swaps the two smallest states, T1' the two largest; both shift
-    # tokens are the +1 rotation.
+    # T1' swaps the two largest states; T2' is the +1 rotation.
     for width in (2, 3):
         size = 1 << width
-        t1 = compose_runs([(T1, 1)], width)
-        assert t1(0) == 1 and t1(1) == 0
-        assert all(t1(x) == x for x in range(2, size))
         t1p = compose_runs([(T1P, 1)], width)
         assert t1p(size - 2) == size - 1 and t1p(size - 1) == size - 2
         assert all(t1p(x) == x for x in range(size - 2))
-        for shift in (T2, T2P):
-            t2 = compose_runs([(shift, 1)], width)
-            assert all(t2(x) == (x + 1) % size for x in range(size))
+        t2p = compose_runs([(T2P, 1)], width)
+        assert all(t2p(x) == (x + 1) % size for x in range(size))
 
 
 def test_compose_tokens_order():
-    # First run applies first: T1 then T2 sends 0 -> 1 -> 2.
-    p = compose_runs([(T1, 1), (T2, 1)], 2)
-    assert p(0) == 2
+    # First run applies first: T1' then T2' sends 2 -> 3 -> 0, while
+    # T2' then T1' sends 2 -> 3 -> 2.
+    assert compose_runs([(T1P, 1), (T2P, 1)], 2)(2) == 0
+    assert compose_runs([(T2P, 1), (T1P, 1)], 2)(2) == 2
     assert compose_runs([], 3).is_identity()
     # A swap run of even count and a full-cycle shift run are identities.
     assert compose_runs([(T1P, 2), (T2P, 8)], 3).is_identity()
 
 
 def test_adjacent_swap_frozen_example():
-    # Swapping states 2 and 3 at width 2: two shifts bring (2, 3) onto
-    # (0, 1), one swap, two shifts restore. A run of 0 shifts is left out,
-    # and a full-cycle run stays whole.
-    assert adjacent_swap_tokens(2, 2) == [(T2, 2), (T1, 1), (T2, 2)]
-    assert adjacent_swap_tokens(0, 2) == [(T2, 4), (T1, 1)]
-    assert adjacent_swap_tokens(2, 2, "primed") == [(T1P, 1), (T2P, 4)]
-    assert adjacent_swap_tokens(0, 2, "primed") == [(T2P, 2), (T1P, 1), (T2P, 2)]
+    # Swapping states 0 and 1 at width 2: two shifts bring (0, 1) onto
+    # (2, 3), one swap, two shifts restore. States 2 and 3 are already the
+    # top pair, so their run of 0 shifts is left out, and the full-cycle run
+    # back stays whole.
+    assert adjacent_swap_tokens(0, 2) == [(T2P, 2), (T1P, 1), (T2P, 2)]
+    assert adjacent_swap_tokens(1, 2) == [(T2P, 1), (T1P, 1), (T2P, 3)]
+    assert adjacent_swap_tokens(2, 2) == [(T1P, 1), (T2P, 4)]
 
 
 def test_adjacent_swap_token_budget():
-    # Every adjacent swap costs exactly one swap token and 2**width shifts,
-    # in both variants.
+    # Every adjacent swap costs exactly one swap token and 2**width shifts.
     for width in (2, 3):
         size = 1 << width
         for a in range(size - 1):
-            for variant, swap_tok, shift in (
-                ("standard", T1, T2),
-                ("primed", T1P, T2P),
-            ):
-                runs = adjacent_swap_tokens(a, width, variant)
-                assert all(count > 0 for _, count in runs)
-                assert _count(runs, swap_tok) == 1
-                assert _count(runs, shift) == size
-                assert len(runs) <= 3
-                got = compose_runs(runs, width)
-                want = Permutation.from_cycle(width, (a, a + 1))
-                assert got.mapping == want.mapping
+            runs = adjacent_swap_tokens(a, width)
+            assert all(count > 0 for _, count in runs)
+            assert _count(runs, T1P) == 1
+            assert _count(runs, T2P) == size
+            assert len(runs) <= 3
+            got = compose_runs(runs, width)
+            want = Permutation.from_cycle(width, (a, a + 1))
+            assert got.mapping == want.mapping
 
 
 def test_adjacent_swap_rejects_bad_start():
@@ -95,8 +82,6 @@ def test_adjacent_swap_rejects_bad_start():
         adjacent_swap_tokens(3, 2)
     with pytest.raises(ValueError):
         adjacent_swap_tokens(-1, 2)
-    with pytest.raises(ValueError):
-        adjacent_swap_tokens(0, 2, "fancy")
 
 
 def test_transposition_tokens_realize_transpositions():
@@ -106,11 +91,10 @@ def test_transposition_tokens_realize_transpositions():
         size = 1 << width
         i = rng.randrange(size - 1)
         j = rng.randrange(i + 1, size)
-        for variant in ("standard", "primed"):
-            runs = transposition_tokens(i, j, width, variant)
-            got = compose_runs(runs, width)
-            want = Permutation.from_cycle(width, (i, j))
-            assert got.mapping == want.mapping
+        runs = transposition_tokens(i, j, width)
+        got = compose_runs(runs, width)
+        want = Permutation.from_cycle(width, (i, j))
+        assert got.mapping == want.mapping
 
 
 def test_transposition_uses_odd_many_adjacent_swaps():
@@ -120,7 +104,7 @@ def test_transposition_uses_odd_many_adjacent_swaps():
         size = 1 << width
         for i in range(size - 1):
             for j in range(i + 1, size):
-                runs = transposition_tokens(i, j, width, "primed")
+                runs = transposition_tokens(i, j, width)
                 swaps = _count(runs, T1P)
                 assert swaps == 2 * (j - i) - 1
                 assert _count(runs, T2P) == size * swaps
@@ -132,17 +116,15 @@ def test_decompose_generators_reproduces_permutation():
     for _ in range(12):
         width = rng.randint(2, 3)
         p = sample_permutation(width, "any", seed=rng.getrandbits(32))
-        for variant in ("standard", "primed"):
-            toks = decompose_generators(p, variant)
-            assert compose_runs([(t, 1) for t in toks], width).mapping == p.mapping
+        toks = decompose_generators(p)
+        assert compose_runs([(t, 1) for t in toks], width).mapping == p.mapping
 
 
-@pytest.mark.parametrize("width", [2, 3, 4, 5])
-@pytest.mark.parametrize("variant", ["standard", "primed"])
-def test_decompose_generators_expands_the_runs(width, variant):
+@pytest.mark.parametrize("width", [2, 3, 4, 5], ids=lambda w: f"primed-{w}")
+def test_decompose_generators_expands_the_runs(width):
     p = sample_permutation(width, "any", seed=77 + width)
-    runs = list(generator_runs(p, variant))
-    assert decompose_generators(p, variant) == [
+    runs = list(generator_runs(p))
+    assert decompose_generators(p) == [
         tok for tok, count in runs for _ in range(count)
     ]
 
@@ -154,61 +136,53 @@ def test_decompose_identity_is_empty():
 def test_even_permutations_give_even_token_counts():
     # Each transposition contributes an odd number of swap tokens and an
     # even number of shifts, so an even permutation ends up with even
-    # counts of both primed tokens.
+    # counts of both tokens.
     rng = random.Random(41)
     for _ in range(20):
         width = rng.randint(2, 4)
         p = sample_permutation(width, "even", seed=rng.getrandbits(32))
-        toks = decompose_generators(p, "primed")
+        toks = decompose_generators(p)
         assert toks.count(T1P) % 2 == 0
         assert toks.count(T2P) % 2 == 0
-
-
-def test_decompose_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        decompose_generators(Permutation.identity(2), "mixed")
-    with pytest.raises(ValueError):
-        list(generator_runs(Permutation.identity(2), "mixed"))
 
 
 def test_reduce_tokens_frozen_example():
     # Width 2: four shifts make a full cycle and vanish, which brings the
     # two swaps together; they cancel, and the shift runs around them merge.
-    runs = [(T2, 2), (T1, 1), (T2, 2), (T2, 2), (T1, 1), (T2, 1)]
-    assert reduce_tokens(runs, 2) == [(T2, 3)]
-    assert reduce_tokens([(T2, 9)], 2) == [(T2, 1)]
-    assert reduce_tokens([(T2, 5), (T2, 4)], 2) == [(T2, 1)]
+    runs = [(T2P, 2), (T1P, 1), (T2P, 2), (T2P, 2), (T1P, 1), (T2P, 1)]
+    assert reduce_tokens(runs, 2) == [(T2P, 3)]
+    assert reduce_tokens([(T2P, 9)], 2) == [(T2P, 1)]
+    assert reduce_tokens([(T2P, 5), (T2P, 4)], 2) == [(T2P, 1)]
     assert reduce_tokens([(T1P, 1), (T2P, 2), (T1P, 1)], 1) == []
     assert reduce_tokens([], 3) == []
 
 
-# Each variant on the permutations of the route that compiles from it.
-_REDUCE_CASES = [
-    ("standard", "any", T1, T2, w) for w in (3, 4, 5, 6)
-] + [("primed", "even", T1P, T2P, w) for w in (3, 4, 5, 6, 7)]
+# Odd targets too, so odd token counts stay covered; the even route's own
+# targets up to a wider width.
+_REDUCE_CASES = [("any", w) for w in (3, 4, 5, 6)] + [
+    ("even", w) for w in (3, 4, 5, 6, 7)
+]
 
 
 @pytest.mark.parametrize(
-    "variant, kind, swap_tok, shift, width",
+    "kind, width",
     _REDUCE_CASES,
-    ids=[f"{v}-{k}-{a.value}-{b.value}-{w}" for v, k, a, b, w in _REDUCE_CASES],
+    ids=[f"primed-{k}-T1'-T2'-{w}" for k, w in _REDUCE_CASES],
 )
-def test_reduce_tokens_keeps_composition_and_parity(
-    width, variant, kind, swap_tok, shift
-):
+def test_reduce_tokens_keeps_composition_and_parity(width, kind):
     size = 1 << width
     p = sample_permutation(width, kind, seed=1000 * width + size)
-    literal = list(generator_runs(p, variant))
+    literal = list(generator_runs(p))
     runs = reduce_tokens(literal, width)
     assert compose_runs(literal, width).mapping == p.mapping
     assert compose_runs(runs, width).mapping == p.mapping
-    for tok in (swap_tok, shift):
+    for tok in TransformToken:
         assert _count(runs, tok) % 2 == _count(literal, tok) % 2
         if kind == "even":
             assert _count(runs, tok) % 2 == 0
     for tok, count in runs:
         assert 0 < count < size
-        if tok is swap_tok:
+        if tok is T1P:
             assert count == 1
     assert all(a[0] is not b[0] for a, b in zip(runs, runs[1:]))
-    assert _count(runs, swap_tok) + _count(runs, shift) < sum(c for _, c in literal)
+    assert sum(c for _, c in runs) < sum(c for _, c in literal)

@@ -80,6 +80,9 @@ def test_zero_control_macros_round_trip():
     assert read_netlist(text) == c
 
 
+_HEAD3 = "lines 3\nrole 1 data\nrole 2 data\nrole 3 data\n"
+
+
 @pytest.mark.parametrize(
     "bad, fragment",
     [
@@ -101,6 +104,17 @@ def test_zero_control_macros_round_trip():
             "FRED 1 2 3\nFRED 1 2 3  # again\nFRED 1 2 3\nFRED 1 2 x\n",
             "netlist line 8: expected an integer",
         ),
+        # The width is checked where it is read, before any per-line work.
+        ("lines 0\n", r"netlist line 1: width must be in \[1, 16\], got 0"),
+        ("lines 17\n", r"netlist line 1: width must be in \[1, 16\], got 17"),
+        ("lines 100000000\n", "netlist line 1: width must be in"),
+        # Fields are ASCII decimal: no sign, underscore or non-ASCII digit.
+        (_HEAD3 + "VTOF +1 2 3\n", "netlist line 5: expected an integer"),
+        (_HEAD3 + "VTOF 1 2 3_0\n", "netlist line 5: expected an integer"),
+        (_HEAD3 + "VTOF 1 2 \u0663\n", "netlist line 5: expected an integer"),
+        (_HEAD3 + "CKNOT -1\n", "netlist line 5: expected an integer"),
+        (_HEAD3 + "CKSWAP -2 1\n", "netlist line 5: expected an integer"),
+        ("lines 3\nrole -1 data\n", "netlist line 2: expected an integer"),
     ],
 )
 def test_malformed_statements(bad: str, fragment: str):

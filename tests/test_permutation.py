@@ -207,3 +207,12 @@ def test_parse_errors():
     for row in ("1_1 1_1", "22 11"):
         with pytest.raises(ValueError, match="non-binary truth-table row"):
             parse_permutation(row)
+    # The image-list header and images are ASCII decimal, for the same
+    # reason: int() would read each width below as 3.
+    images = " ".join(str(x) for x in range(8))
+    for width in ("\u0663", "0_3", "+3"):
+        with pytest.raises(ValueError, match="malformed width"):
+            parse_permutation(f"perm {width}\n{images}")
+    for image in ("+3", "0_3", "\u0663", "-3"):
+        with pytest.raises(ValueError, match="malformed image"):
+            parse_permutation(f"perm 2\n0 1 2 {image}")

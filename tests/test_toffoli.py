@@ -106,7 +106,7 @@ def test_t2_block_increments():
     for n in (1, 2, 3, 4):
         c = Circuit(n, increment(range(1, n + 1)))
         assert len(c.gates) == n
-        want = compose_runs([(TransformToken.T2, 1)], n)
+        want = compose_runs([(TransformToken.T2P, 1)], n)
         assert circuit_to_permutation(c).mapping == want.mapping
 
 

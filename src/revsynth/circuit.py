@@ -18,7 +18,14 @@ Simulation is always exhaustive over all ``2**width`` states. The fast path
 is bitsliced: one Python bignum per line holds that line's value across every
 state (bit ``s`` of the mask for line ``l`` is line ``l``'s value in state
 ``s``), so each gate costs a handful of bignum operations regardless of
-width.
+width. The kernel unpacks each gate as ``(kind, lines)`` and compares the
+kind against module-level aliases of the enum members, so no per-gate
+attribute or enum-class lookup runs in the loop. Masks are read back with
+one binary-string row per line, transposed into per-state integers.
+
+A ``Circuit`` validates each distinct gate once and records whether all of
+them are primitive, so ``primitive_gate_count`` and ``is_primitive`` are
+O(1) for the primitive netlists synthesis emits.
 """
 
 from __future__ import annotations
@@ -38,7 +45,12 @@ class GateKind(str, enum.Enum):
     CKSWAP = "CKSWAP"
 
 
-PRIMITIVE_KINDS = frozenset({GateKind.VTOF, GateKind.FRED})
+# Plain module globals: a class-level enum member lookup is several times
+# slower than a global read, and the kernel compares one kind per gate.
+VTOF, FRED, CKNOT, CKSWAP = (
+    GateKind.VTOF, GateKind.FRED, GateKind.CKNOT, GateKind.CKSWAP
+)
+PRIMITIVE_KINDS = frozenset({VTOF, FRED})
 
 
 class LineRole(str, enum.Enum):
@@ -62,62 +74,66 @@ class GateInstance(NamedTuple):
     @property
     def k(self) -> int:
         """Control count of a macro gate (VTOF and FRED report 1)."""
-        if self.kind is GateKind.CKNOT:
-            return len(self.lines) - 1
-        if self.kind is GateKind.CKSWAP:
-            return len(self.lines) - 2
+        kind, lines = self
+        if kind is CKNOT:
+            return len(lines) - 1
+        if kind is CKSWAP:
+            return len(lines) - 2
         return 1
 
     @property
     def controls(self) -> tuple[int, ...]:
-        if self.kind is GateKind.CKNOT:
-            return self.lines[:-1]
-        if self.kind is GateKind.CKSWAP:
-            return self.lines[:-2]
-        return self.lines[:1]
+        kind, lines = self
+        if kind is CKNOT:
+            return lines[:-1]
+        if kind is CKSWAP:
+            return lines[:-2]
+        return lines[:1]
 
     @property
     def targets(self) -> tuple[int, ...]:
-        if self.kind is GateKind.CKNOT:
-            return self.lines[-1:]
-        return self.lines[-2:]
+        kind, lines = self
+        if kind is CKNOT:
+            return lines[-1:]
+        return lines[-2:]
 
     def validate(self) -> None:
-        n = len(self.lines)
-        if self.kind in (GateKind.VTOF, GateKind.FRED):
+        kind, lines = self
+        n = len(lines)
+        if kind is VTOF or kind is FRED:
             if n != 3:
-                raise ValueError(f"{self.kind.value} needs 3 lines, got {n}")
-        elif self.kind is GateKind.CKNOT:
+                raise ValueError(f"{kind.value} needs 3 lines, got {n}")
+        elif kind is CKNOT:
             if n < 1:
                 raise ValueError("CKNOT needs at least a target line")
         elif n < 2:
             raise ValueError("CKSWAP needs at least two target lines")
-        if len(set(self.lines)) != n:
-            raise ValueError(f"gate lines must be distinct, got {self.lines}")
-        if any(l < 1 for l in self.lines):
-            raise ValueError(f"lines are 1-based, got {self.lines}")
+        if len(set(lines)) != n:
+            raise ValueError(f"gate lines must be distinct, got {lines}")
+        if min(lines) < 1:
+            raise ValueError(f"lines are 1-based, got {lines}")
 
 
 def vtof(control: int, invert: int, target: int) -> GateInstance:
-    g = GateInstance(GateKind.VTOF, (control, invert, target))
+    g = GateInstance(VTOF, (control, invert, target))
     g.validate()
     return g
 
 
 def fred(control: int, t1: int, t2: int) -> GateInstance:
-    g = GateInstance(GateKind.FRED, (control, t1, t2))
+    g = GateInstance(FRED, (control, t1, t2))
     g.validate()
     return g
 
 
 def cknot(controls: Iterable[int], target: int) -> GateInstance:
-    g = GateInstance(GateKind.CKNOT, (*controls, target))
+    g = GateInstance(CKNOT, (*controls, target))
     g.validate()
     return g
 
 
 def ckswap(controls: Iterable[int], t1: int, t2: int) -> GateInstance:
-    g = GateInstance(GateKind.CKSWAP, (*controls, t1, t2))
+    g = GateInstance(CKSWAP, (*controls, t1, t2))
     g.validate()
     return g
 
@@ -145,12 +161,15 @@ class Circuit:
 
     Construction validates each distinct gate once (kind, line count,
     distinct 1-based lines within ``width``); when several gates are bad,
-    the error names the earliest in list order.
+    the error names the earliest in list order. The same pass records
+    whether every gate is primitive, which makes the primitive count of a
+    primitive netlist its length.
     """
 
     width: int
     gates: tuple[GateInstance, ...]
     roles: tuple[LineRole, ...] = field(default=())
+    _all_primitive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.width <= MAX_WIDTH:
@@ -168,12 +187,17 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         # Long gate lists repeat a few distinct gates; dict.fromkeys keeps
         # first-seen order, so the earliest bad gate is the one reported.
+        all_primitive = True
         for g in dict.fromkeys(self.gates):
             g.validate()
-            if max(g.lines) > self.width:
+            kind, lines = g
+            if max(lines) > self.width:
                 raise ValueError(
-                    f"gate {g.kind.value} {g.lines} exceeds width {self.width}"
+                    f"gate {kind.value} {lines} exceeds width {self.width}"
                 )
+            if kind is not VTOF and kind is not FRED:
+                all_primitive = False
+        object.__setattr__(self, "_all_primitive", all_primitive)
 
     def lines_with_role(self, role: LineRole) -> tuple[int, ...]:
         return tuple(
@@ -187,10 +211,12 @@ class Circuit:
         return counts
 
     def primitive_gate_count(self) -> int:
+        if self._all_primitive:
+            return len(self.gates)
         return sum(1 for g in self.gates if g.kind in PRIMITIVE_KINDS)
 
     def is_primitive(self) -> bool:
-        return all(g.kind in PRIMITIVE_KINDS for g in self.gates)
+        return self._all_primitive
 
 
 def bit_of(state: int, line: int, width: int) -> int:
@@ -200,23 +226,23 @@ def bit_of(state: int, line: int, width: int) -> int:
 
 def apply_gate(gate: GateInstance, state: int, width: int) -> int:
     """Reference single-state semantics of one gate."""
-    kind = gate.kind
-    if kind is GateKind.VTOF:
-        c, i, t = gate.lines
+    kind, lines = gate
+    if kind is VTOF:
+        c, i, t = lines
         if bit_of(state, c, width) and bit_of(state, i, width):
             state ^= 1 << (width - t)
         return state ^ (1 << (width - i))
-    if kind is GateKind.FRED:
-        c, a, b = gate.lines
+    if kind is FRED:
+        c, a, b = lines
         if bit_of(state, c, width) and bit_of(state, a, width) != bit_of(state, b, width):
             state ^= (1 << (width - a)) | (1 << (width - b))
         return state
-    if kind is GateKind.CKNOT:
-        *cs, t = gate.lines
+    if kind is CKNOT:
+        *cs, t = lines
         if all(bit_of(state, c, width) for c in cs):
             state ^= 1 << (width - t)
         return state
-    *cs, a, b = gate.lines
+    *cs, a, b = lines
     if all(bit_of(state, c, width) for c in cs):
         if bit_of(state, a, width) != bit_of(state, b, width):
             state ^= (1 << (width - a)) | (1 << (width - b))
@@ -247,25 +273,24 @@ def apply_gates_bitsliced(
 ) -> list[int]:
     """Apply a gate list to bitsliced line masks in place (and return them)."""
     all_ones = (1 << (1 << width)) - 1
-    for g in gates:
-        kind = g.kind
-        if kind is GateKind.VTOF:
-            c, i, t = g.lines
+    for kind, lines in gates:
+        if kind is VTOF:
+            c, i, t = lines
             masks[t] ^= masks[c] & masks[i]
             masks[i] ^= all_ones
-        elif kind is GateKind.FRED:
-            c, a, b = g.lines
+        elif kind is FRED:
+            c, a, b = lines
             d = masks[c] & (masks[a] ^ masks[b])
             masks[a] ^= d
             masks[b] ^= d
-        elif kind is GateKind.CKNOT:
-            *cs, t = g.lines
+        elif kind is CKNOT:
+            *cs, t = lines
             prod = all_ones
             for c in cs:
                 prod &= masks[c]
             masks[t] ^= prod
         else:
-            *cs, a, b = g.lines
+            *cs, a, b = lines
             prod = all_ones
             for c in cs:
                 prod &= masks[c]
@@ -283,15 +308,14 @@ def final_line_masks(circuit: Circuit) -> list[int]:
 
 
 def masks_to_mapping(masks: list[int], width: int) -> list[int]:
-    """Read per-state output integers back out of bitsliced line masks."""
+    """Read per-state output integers back out of bitsliced line masks.
+
+    Each line's mask becomes one binary string with state 0 first; reading
+    those rows column by column gives each state's bits, line 1 first.
+    """
     size = 1 << width
-    mapping = [0] * size
-    for line in range(1, width + 1):
-        m = masks[line]
-        shift = width - line
-        for s in range(size):
-            mapping[s] |= ((m >> s) & 1) << shift
-    return mapping
+    rows = [format(masks[l], f"0{size}b")[::-1] for l in range(1, width + 1)]
+    return [int("".join(col), 2) for col in zip(*rows)]
 
 
 def circuit_to_permutation(circuit: Circuit) -> Permutation:

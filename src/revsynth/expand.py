@@ -5,6 +5,9 @@ construction; the FRED alphabet lowers CKSWAP macros through one
 borrowed-pair cascade paired on the last control and an ancilla line:
 3, 10, 46, 190 gates at k=2..5 against a 0 ancilla, T(k) = 4 T(k-1) + 6
 from k=4, and 5, 15, 61, 251 against a 1, which adds a C^(k-1)SWAP tail.
+Every CKSWAP, k=0 and k=1 included, goes through that one lowering, which
+is built once per (k, ancilla value) on canonical lines and relabelled
+onto each gate's lines (``fredkin.relabelled_ckswap``).
 Helper lines are chosen deterministically: among lines a gate does not
 touch, prefer data, then borrowed, then ancilla, and within a role class
 take the highest index first. That rule keeps full-width gates on the
@@ -13,7 +16,7 @@ designated extra line while narrower gates borrow nearby data lines.
 
 from __future__ import annotations
 
-from .circuit import Circuit, GateInstance, GateKind, LineRole, fred
+from .circuit import CKNOT, CKSWAP, FRED, VTOF, Circuit, GateInstance, LineRole
 from .errors import InsufficientLinesError, UnexpandableMacroError
 
 _ROLE_PREFERENCE = {
@@ -34,9 +37,9 @@ def free_lines(circuit: Circuit, gate: GateInstance) -> list[int]:
 
 
 def _expand_vtof(circuit: Circuit, gate: GateInstance) -> tuple[GateInstance, ...]:
-    if gate.kind is GateKind.VTOF:
+    if gate.kind is VTOF:
         return (gate,)
-    if gate.kind is not GateKind.CKNOT:
+    if gate.kind is not CKNOT:
         raise UnexpandableMacroError(
             f"cannot expand {gate.kind.value} over the VTOF alphabet"
         )
@@ -47,37 +50,35 @@ def _expand_vtof(circuit: Circuit, gate: GateInstance) -> tuple[GateInstance, ..
 
 
 def _expand_fred(circuit: Circuit, gate: GateInstance) -> tuple[GateInstance, ...]:
-    if gate.kind is GateKind.FRED:
+    if gate.kind is FRED:
         return (gate,)
-    if gate.kind is not GateKind.CKSWAP:
+    if gate.kind is not CKSWAP:
         raise UnexpandableMacroError(
             f"cannot expand {gate.kind.value} over the FRED alphabet"
         )
-    from .fredkin import ckswap_fred_with_ancilla
+    from .fredkin import relabelled_ckswap
 
     k = gate.k
-    controls = gate.controls
-    targets = gate.targets
-    if k == 1:
-        return (fred(controls[0], targets[0], targets[1]),)
     pool = free_lines(circuit, gate)
     anc0 = [l for l in pool if circuit.roles[l - 1] is LineRole.ANCILLA0]
     anc1 = [l for l in pool if circuit.roles[l - 1] is LineRole.ANCILLA1]
-    if k == 0:
-        # An unconditional swap only moves unbalanced states, which no FRED
-        # netlist can do on its own; it needs a known-1 line as control.
-        if not anc1:
-            raise InsufficientLinesError(
-                "unconditional SWAP needs a free ancilla line holding 1"
-            )
-        return (fred(anc1[0], targets[0], targets[1]),)
-    if anc0:
-        return ckswap_fred_with_ancilla(controls, targets, anc0[0], 0)
-    if anc1:
-        return ckswap_fred_with_ancilla(controls, targets, anc1[0], 1)
-    raise InsufficientLinesError(
-        f"CKSWAP with {k} controls needs a free ancilla line to expand"
-    )
+    # An unconditional swap only moves unbalanced states, which no FRED
+    # netlist can do on its own; it needs a known-1 line as control.
+    if anc0 and k != 0:
+        ancilla, value = anc0[0], 0
+    elif anc1:
+        ancilla, value = anc1[0], 1
+    elif k == 1:
+        ancilla, value = None, 0  # a bare FRED, no ancilla read
+    elif k == 0:
+        raise InsufficientLinesError(
+            "unconditional SWAP needs a free ancilla line holding 1"
+        )
+    else:
+        raise InsufficientLinesError(
+            f"CKSWAP with {k} controls needs a free ancilla line to expand"
+        )
+    return relabelled_ckswap(gate.controls, gate.targets, ancilla, value)
 
 
 def expand_macros(circuit: Circuit, alphabet: str) -> Circuit:

@@ -12,7 +12,10 @@ target pair, so a single extra line serves any control count.
 
 from __future__ import annotations
 
+import functools
+
 from .circuit import (
+    FRED,
     Circuit,
     GateInstance,
     LineRole,
@@ -177,6 +180,45 @@ def ckswap_fred_with_ancilla(
     if ancilla_value == 0:
         return gates
     return gates + ckswap_fred_with_ancilla(controls[:-1], targets, ancilla_line, 1)
+
+
+@functools.cache
+def _ckswap_shape(
+    k: int, ancilla_value: int
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """The lowering for (k, ancilla value) on canonical lines 1..k+3
+    (controls, targets, ancilla): its distinct line triples as 0-based
+    positions in that line list, and the order in which they play. Keys are
+    bounded by the width cap and values are immutable, so one cache serves
+    the whole process."""
+    canonical = ckswap_fred_with_ancilla(
+        tuple(range(1, k + 1)), (k + 1, k + 2), k + 3, ancilla_value
+    )
+    slots: dict[tuple[int, ...], int] = {}
+    order = tuple(slots.setdefault(g.lines, len(slots)) for g in canonical)
+    return tuple((c - 1, a - 1, b - 1) for c, a, b in slots), order
+
+
+def relabelled_ckswap(
+    controls: tuple[int, ...],
+    targets: tuple[int, int],
+    ancilla_line: int | None,
+    ancilla_value: int,
+) -> tuple[GateInstance, ...]:
+    """``ckswap_fred_with_ancilla`` on these lines, from a lowering built
+    once per (k, ancilla value) and relabelled.
+
+    The lowering treats its lines as labels only, so the gates for any
+    line choice are the canonical ones with each line renamed. Each call
+    builds only the block's few distinct gates. k=1 never reads the
+    ancilla, so ``ancilla_line`` may be ``None`` there.
+    """
+    triples, order = _ckswap_shape(len(controls), ancilla_value)
+    lines = (*controls, *targets, ancilla_line)
+    distinct = [
+        GateInstance(FRED, (lines[c], lines[a], lines[b])) for c, a, b in triples
+    ]
+    return tuple(map(distinct.__getitem__, order))
 
 
 def synth_ckswap(k: int) -> Circuit:

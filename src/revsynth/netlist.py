@@ -44,6 +44,15 @@ def _gate_text(g: GateInstance) -> str:
     return f"{g.kind.value} {g.k} {body}"
 
 
+def _gate(keyword: str, fields: list[str], width: int | None) -> GateInstance:
+    """The gate on the given line fields. Once the width is known, a line
+    above it is reported at this statement rather than by ``Circuit``."""
+    lines = tuple(map(parse_decimal, fields))
+    if width is not None and max(lines) > width:
+        raise ValueError(f"gate {keyword} {lines} exceeds width {width}")
+    return GateInstance(GateKind(keyword), lines)
+
+
 def read_netlist(text: str) -> Circuit:
     width: int | None = None
     roles: dict[int, LineRole] = {}
@@ -74,6 +83,8 @@ def read_netlist(text: str) -> Circuit:
                 if len(tokens) != 3:
                     raise ValueError("role statement needs index and role name")
                 idx = parse_decimal(tokens[1])
+                if width is not None and not 1 <= idx <= width:
+                    raise ValueError(f"role index {idx} outside 1..{width}")
                 if tokens[2] not in _ROLE_NAMES:
                     raise ValueError(f"unknown role {tokens[2]!r}")
                 if idx in roles:
@@ -82,8 +93,7 @@ def read_netlist(text: str) -> Circuit:
             elif keyword in ("VTOF", "FRED"):
                 if len(tokens) != 4:
                     raise ValueError(f"{keyword} needs exactly 3 line numbers")
-                lines = tuple(map(parse_decimal, tokens[1:]))
-                gate = GateInstance(GateKind(keyword), lines)
+                gate = _gate(keyword, tokens[1:], width)
                 gates.append(gate)
                 parsed[raw] = gate
             elif keyword in ("CKNOT", "CKSWAP"):
@@ -95,8 +105,7 @@ def read_netlist(text: str) -> Circuit:
                     raise ValueError(
                         f"{keyword} with k={k} needs {wanted - 1} line numbers"
                     )
-                lines = tuple(map(parse_decimal, tokens[2:]))
-                gate = GateInstance(GateKind(keyword), lines)
+                gate = _gate(keyword, tokens[2:], width)
                 gates.append(gate)
                 parsed[raw] = gate
             else:

@@ -195,6 +195,24 @@ def test_primitive_gate_count():
     assert Circuit(3, (vtof(1, 2, 3),)).is_primitive()
 
 
+def test_primitive_gate_count_with_repeats():
+    # Repeats of both kinds: the count is exact for a mixed circuit and the
+    # length for a primitive one.
+    v, f, m, s = vtof(1, 2, 3), fred(3, 1, 4), cknot((1, 2), 4), ckswap((2,), 1, 3)
+    mixed = Circuit(4, (v, m, v, f, m, s, f, v, s))
+    assert mixed.primitive_gate_count() == 5
+    assert not mixed.is_primitive()
+    primitive = Circuit(4, (v, f, v, v, f))
+    assert primitive.primitive_gate_count() == 5
+    assert primitive.is_primitive()
+    assert Circuit(4, (m, m)).primitive_gate_count() == 0
+    empty = Circuit(4, ())
+    assert empty.primitive_gate_count() == 0 and empty.is_primitive()
+    # The recorded flag takes no part in equality.
+    assert primitive == Circuit(4, primitive.gates)
+    assert mixed != primitive
+
+
 def test_initial_line_masks_frozen_width_two():
     # Bit s of masks[l] is line l's value in state s: line 1 is the high
     # bit (states 2 and 3), line 2 the low bit (states 1 and 3).
@@ -220,6 +238,60 @@ def test_bitsliced_matches_per_state_simulation():
         p = circuit_to_permutation(c)
         for s in range(1 << width):
             assert p(s) == simulate(c, s)
+
+
+MIN_LINES = {GateKind.VTOF: 3, GateKind.FRED: 3, GateKind.CKNOT: 1, GateKind.CKSWAP: 2}
+
+
+def random_mixed_circuit(width: int, n_gates: int, rng: random.Random) -> Circuit:
+    """Primitive gates mixed with CKNOT and CKSWAP macros of any k that
+    fits, with repeats, on scattered lines."""
+    kinds = [k for k, n in MIN_LINES.items() if n <= width]
+    gates = []
+    for _ in range(n_gates):
+        kind = rng.choice(kinds)
+        if kind in (GateKind.VTOF, GateKind.FRED):
+            n = 3
+        else:
+            n = rng.randint(MIN_LINES[kind], width)
+        gates.append(GateInstance(kind, tuple(rng.sample(range(1, width + 1), n))))
+        if rng.random() < 0.2:
+            gates.append(rng.choice(gates))
+    return Circuit(width, tuple(gates))
+
+
+def test_bitsliced_matches_per_state_simulation_with_macros():
+    rng = random.Random(2024)
+    for width in range(3, 11):
+        for _ in range(3):
+            c = random_mixed_circuit(width, rng.randint(5, 20), rng)
+            assert {g.kind for g in c.gates} - {GateKind.VTOF, GateKind.FRED}
+            mapping = masks_to_mapping(final_line_masks(c), width)
+            assert mapping == [simulate(c, s) for s in range(1 << width)]
+
+
+def reference_masks_to_mapping(masks: list[int], width: int) -> list[int]:
+    """Oracle: gather each state's output bit by bit."""
+    mapping = [0] * (1 << width)
+    for line in range(1, width + 1):
+        for s in range(1 << width):
+            mapping[s] |= ((masks[line] >> s) & 1) << (width - line)
+    return mapping
+
+
+def test_masks_to_mapping_round_trip_random_masks():
+    rng = random.Random(5)
+    for width in range(1, 13):
+        c = random_mixed_circuit(width, 2 * width, rng)
+        masks = final_line_masks(c)
+        mapping = masks_to_mapping(masks, width)
+        assert mapping == reference_masks_to_mapping(masks, width)
+        # Slicing the mapping again gives back the masks.
+        again = [0] * (width + 1)
+        for s, out in enumerate(mapping):
+            for line in range(1, width + 1):
+                again[line] |= bit_of(out, line, width) << s
+        assert again == masks
 
 
 def test_final_masks_match_mapping():

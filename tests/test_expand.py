@@ -125,8 +125,12 @@ def test_expand_fred_unconditional_swap_needs_one_line():
     out = expand_macros(Circuit(3, (swap(1, 2),), roles1), "FRED")
     assert out.gates == (fred(3, 1, 2),)
     roles0 = (LineRole.DATA, LineRole.DATA, LineRole.ANCILLA0)
-    with pytest.raises(InsufficientLinesError):
+    with pytest.raises(InsufficientLinesError, match="free ancilla line holding 1"):
         expand_macros(Circuit(3, (swap(1, 2),), roles0), "FRED")
+    # A 0 ancilla is no use to a SWAP, even where it would be preferred.
+    roles01 = (LineRole.DATA, LineRole.ANCILLA1, LineRole.DATA, LineRole.ANCILLA0)
+    out = expand_macros(Circuit(4, (swap(3, 1),), roles01), "FRED")
+    assert out.gates == (fred(2, 3, 1),)
 
 
 @pytest.mark.parametrize("value", [0, 1])
@@ -149,7 +153,7 @@ def test_expand_fred_multi_control_against_either_ancilla(value: int):
 
 
 def test_expand_fred_multi_control_needs_an_ancilla():
-    with pytest.raises(InsufficientLinesError):
+    with pytest.raises(InsufficientLinesError, match="2 controls needs a free ancilla"):
         expand_macros(all_data(5, ckswap((1, 2), 3, 4)), "FRED")
 
 

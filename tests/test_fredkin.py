@@ -26,8 +26,10 @@ from revsynth.errors import (
 )
 from revsynth.fredkin import (
     _merged_ckswap,
+    ckswap_fred_with_ancilla,
     conservative_stage_plan,
     hamming_path,
+    relabelled_ckswap,
     synth_ckswap,
     synth_conservative,
     synth_transposition,
@@ -168,6 +170,29 @@ def test_synth_ckswap_exact_with_frozen_counts(k: int, lines: int, gate_count: i
     want = ckswap_permutation(k + 2, tuple(range(1, k + 1)), k + 1, k + 2)
     report = verify_realizes(c, want)
     assert report.passed, report.counterexample
+
+
+@pytest.mark.parametrize("value", [0, 1])
+@pytest.mark.parametrize("k", range(7))
+def test_relabelled_ckswap_is_the_direct_lowering(k: int, value: int):
+    # Two scattered, non-ascending line choices per (k, value): the first
+    # builds the shape (or finds it from an earlier test), the second reuses
+    # it. Each must equal a direct call gate for gate.
+    rng = random.Random(100 * k + value)
+    for _ in range(2):
+        lines = rng.sample(range(1, 17), k + 3)
+        controls, targets, ancilla = tuple(lines[:k]), tuple(lines[k:k + 2]), lines[-1]
+        if k == 0 and value == 0:
+            with pytest.raises(RangeError):
+                ckswap_fred_with_ancilla(controls, targets, ancilla, value)
+            with pytest.raises(RangeError):
+                relabelled_ckswap(controls, targets, ancilla, value)
+            continue
+        direct = ckswap_fred_with_ancilla(controls, targets, ancilla, value)
+        assert relabelled_ckswap(controls, targets, ancilla, value) == direct
+    if k == 1:
+        # A bare FRED reads no ancilla line.
+        assert relabelled_ckswap((9,), (4, 2), None, value) == (fred(9, 4, 2),)
 
 
 def test_synth_ckswap_bounds():

@@ -115,6 +115,19 @@ _HEAD3 = "lines 3\nrole 1 data\nrole 2 data\nrole 3 data\n"
         (_HEAD3 + "CKNOT -1\n", "netlist line 5: expected an integer"),
         (_HEAD3 + "CKSWAP -2 1\n", "netlist line 5: expected an integer"),
         ("lines 3\nrole -1 data\n", "netlist line 2: expected an integer"),
+        # Once the width is read, line numbers are checked at their statement.
+        (
+            "lines 2\nrole 1 data\nrole 2 data\nrole 7 data\n",
+            r"netlist line 4: role index 7 outside 1\.\.2",
+        ),
+        (
+            "lines 2\nrole 1 data\nrole 2 data\nVTOF 1 2 3\n",
+            r"netlist line 4: gate VTOF \(1, 2, 3\) exceeds width 2",
+        ),
+        (
+            "lines 2\nrole 1 data\nrole 2 data\nCKSWAP 1 2 1 3\n",
+            r"netlist line 4: gate CKSWAP \(2, 1, 3\) exceeds width 2",
+        ),
     ],
 )
 def test_malformed_statements(bad: str, fragment: str):

@@ -62,7 +62,6 @@ from .errors import (
 from .even import TokenPair, synth_even, synth_fused, synth_pair
 from .expand import expand_macros
 from .fredkin import (
-    hamming_path,
     synth_ckswap,
     synth_conservative,
     synth_transposition,
@@ -137,7 +136,6 @@ __all__ = [
     "format_permutation",
     "fred",
     "hamming_distance",
-    "hamming_path",
     "independence_check",
     "not_gate",
     "parity_vector",

@@ -2,10 +2,13 @@
 
 A conservative (weight-preserving) permutation is built class by class:
 within each Hamming-weight class, any permutation is a product of
-transpositions, each transposition is a chain of controlled swaps along a
-Hamming path, and each multi-controlled swap lowers to plain Fredkin gates
-against one extra line. The controlled-swap lowering is the heart of the
-module: a recursive cascade that takes the last control and the extra line
+transpositions. Each transposition (a b) of weight-k states at Hamming
+distance 2d is a conjugation (after Shende, Prasad, Markov and Hayes,
+*Synthesis of reversible logic circuits*, IEEE TCAD 2003): d-1 plain
+Fredkin gates walk ``a`` to a neighbour of ``b`` without moving ``b``, one
+C^(k-1)SWAP exchanges that neighbour with ``b``, and the walk runs back.
+Each multi-controlled swap lowers to plain Fredkin gates against one extra
+line: a recursive cascade that takes the last control and the extra line
 as its borrowed pair, and whose inner levels borrow their enclosing gate's
 target pair, so a single extra line serves any control count.
 """
@@ -33,7 +36,7 @@ from .errors import (
     WidthOutOfRangeError,
 )
 from .permutation import Permutation, transpositions
-from .weights import bits, strings_of_weight, weight_decompose
+from .weights import strings_of_weight, weight_decompose
 
 CKSWAP_MAX_CONTROLS = 8
 CONSERVATIVE_MIN_WIDTH = 3
@@ -44,10 +47,6 @@ def _check_weight_strings(s1: str, s2: str) -> None:
     for s in (s1, s2):
         if s.strip("01"):
             raise ValueError(f"weight strings are binary, got {s!r}")
-    if len(s1) != len(s2):
-        raise WeightMismatchError(
-            f"strings differ in length: {len(s1)} vs {len(s2)}"
-        )
     if s1.count("1") != s2.count("1"):
         raise WeightMismatchError(
             f"strings differ in weight: {s1} has {s1.count('1')} ones, "
@@ -55,47 +54,38 @@ def _check_weight_strings(s1: str, s2: str) -> None:
         )
 
 
-def hamming_path(s1: str, s2: str) -> list[str]:
-    """Deterministic path from ``s1`` to ``s2`` through equal-weight
-    strings, adjacent entries at Hamming distance exactly 2.
+def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
+    """Macro fragment for the transposition (a b) of the equal-weight,
+    distinct ``n``-bit states ``a`` and ``b`` (line l carries bit n - l).
 
-    Mismatched one-positions are relocated in ascending index order, one
-    per step: the i-th surplus 1 of ``s1`` moves to the i-th missing
-    position.
+    S lists the lines where ``a`` is 1 and ``b`` is 0, M those where ``a``
+    is 0 and ``b`` is 1, both ascending. FRED(S[0], S[i], M[i]) for i >= 1
+    moves ``a`` one step and never moves ``b``, which is 0 on S[0]. The
+    centre C^(k-1)SWAP controls on the one-lines the walked ``a`` shares
+    with ``b`` and swaps S[0] with M[0]; the walk then runs back.
     """
-    _check_weight_strings(s1, s2)
-    surplus = [i for i, (a, b) in enumerate(zip(s1, s2)) if a == "1" and b == "0"]
-    missing = [i for i, (a, b) in enumerate(zip(s1, s2)) if a == "0" and b == "1"]
-    path = [s1]
-    cur = list(s1)
-    for src, dst in zip(surplus, missing):
-        cur[src] = "0"
-        cur[dst] = "1"
-        path.append("".join(cur))
-    return path
-
-
-def _adjacent_swap_gate(u: str, v: str) -> GateInstance:
-    """CKSWAP exchanging the distance-2 pair ``u``/``v`` within their
-    weight class: controls on the common one-positions, targets on the two
-    differing positions (string index i is line i + 1)."""
-    controls = tuple(
-        i + 1 for i, (a, b) in enumerate(zip(u, v)) if a == b == "1"
-    )
-    diff = tuple(i + 1 for i, (a, b) in enumerate(zip(u, v)) if a != b)
-    return ckswap(controls, diff[0], diff[1])
+    lines = range(1, n + 1)
+    s = [l for l in lines if (a & ~b) >> (n - l) & 1]
+    m = [l for l in lines if (b & ~a) >> (n - l) & 1]
+    walk = tuple(fred(s[0], s[i], m[i]) for i in range(1, len(s)))
+    shared = a & b  # the walked image's one-lines in common with b
+    for l in m[1:]:
+        shared |= 1 << (n - l)
+    controls = tuple(l for l in lines if shared >> (n - l) & 1)
+    centre = ckswap(controls, min(s[0], m[0]), max(s[0], m[0]))
+    return walk + (centre,) + walk[::-1]
 
 
 def synth_transposition(s1: str, s2: str, m: int) -> tuple[GateInstance, ...]:
     """Macro fragment whose induced action on the weight class of
     ``s1``/``s2`` is exactly the transposition (s1 s2).
 
-    Forward phase shifts ``s1`` along the Hamming path to ``s2``; the
-    return phase replays all but the last gate in reverse to shift the
-    displaced ``s2`` back. Each gate controls on the k-1 common
-    one-positions of an adjacent pair, so classes below weight k are never
-    touched; classes above k may move (callers correct for that stage by
-    stage).
+    String index i is line i + 1. At Hamming distance 2d the fragment is
+    d-1 plain FREDs that walk ``s1`` toward ``s2`` without moving ``s2``,
+    one C^(k-1)SWAP controlled on the k-1 one-positions the walked ``s1``
+    shares with ``s2``, and the walk reversed: 2d-1 gates, one of them a
+    CKSWAP. Classes below weight k are never touched; classes above k may
+    move (callers correct for that stage by stage).
     """
     if len(s1) != m or len(s2) != m:
         raise WeightMismatchError(
@@ -103,9 +93,8 @@ def synth_transposition(s1: str, s2: str, m: int) -> tuple[GateInstance, ...]:
         )
     if s1 == s2:
         raise EqualStringsError(f"cannot transpose {s1} with itself")
-    path = hamming_path(s1, s2)
-    forward = [_adjacent_swap_gate(path[i - 1], path[i]) for i in range(1, len(path))]
-    return tuple(forward) + tuple(reversed(forward[:-1]))
+    _check_weight_strings(s1, s2)
+    return _transposition_gates(int(s1, 2), int(s2, 2), m)
 
 
 def _merged_ckswap(
@@ -270,7 +259,7 @@ def conservative_stage_plan(
             correction[image[s]] = p(s)
         stage: list[GateInstance] = []
         for a, b in transpositions(correction):
-            stage.extend(synth_transposition(bits(a, n), bits(b, n), n))
+            stage.extend(_transposition_gates(a, b, n))
         apply_gates_bitsliced(stage, masks, n)
         plan.append((k, tuple(stage)))
     return plan

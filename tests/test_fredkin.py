@@ -1,4 +1,4 @@
-"""Fredkin-alphabet constructions: Hamming paths, class transpositions,
+"""Fredkin-alphabet constructions: class transpositions,
 controlled-swap lowerings, and conservative synthesis."""
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from revsynth.fredkin import (
     _merged_ckswap,
     ckswap_fred_with_ancilla,
     conservative_stage_plan,
-    hamming_path,
     relabelled_ckswap,
     synth_ckswap,
     synth_conservative,
@@ -36,7 +35,7 @@ from revsynth.fredkin import (
 )
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.verify import verify_realizes
-from revsynth.weights import hamming_distance, strings_of_weight
+from revsynth.weights import bits, hamming_distance, strings_of_weight
 
 from conftest import ckswap_permutation
 
@@ -46,62 +45,27 @@ def random_weight_string(rng: random.Random, length: int, weight: int) -> str:
     return "".join("1" if i in ones else "0" for i in range(length))
 
 
-def test_hamming_path_frozen_example():
-    assert hamming_path("1100", "0011") == ["1100", "0110", "0011"]
-
-
-def test_hamming_path_properties():
-    rng = random.Random(17)
-    for _ in range(30):
-        length = rng.randint(2, 8)
-        weight = rng.randint(1, length - 1)
-        s1 = random_weight_string(rng, length, weight)
-        s2 = random_weight_string(rng, length, weight)
-        path = hamming_path(s1, s2)
-        assert path[0] == s1 and path[-1] == s2
-        assert all(s.count("1") == weight for s in path)
-        for u, v in zip(path, path[1:]):
-            assert sum(a != b for a, b in zip(u, v)) == 2
-
-
-def test_hamming_path_trivial():
-    assert hamming_path("101", "101") == ["101"]
-
-
-def test_hamming_path_errors():
-    with pytest.raises(ValueError):
-        hamming_path("10x", "100")
-    with pytest.raises(WeightMismatchError):
-        hamming_path("10", "100")
-    with pytest.raises(WeightMismatchError):
-        hamming_path("110", "100")
-
-
-def class_action(width: int, gates, weight: int) -> dict[int, int]:
-    c = Circuit(width, tuple(gates))
-    return {s: simulate(c, s) for s in strings_of_weight(width, weight)}
-
-
 def test_synth_transposition_exact_on_its_class():
-    rng = random.Random(23)
-    for _ in range(15):
-        m = rng.randint(3, 6)
-        weight = rng.randint(1, m - 1)
-        s1 = random_weight_string(rng, m, weight)
-        s2 = random_weight_string(rng, m, weight)
-        if s1 == s2:
-            continue
-        gates = synth_transposition(s1, s2, m)
-        assert all(g.kind is GateKind.CKSWAP for g in gates)
-        a, b = int(s1, 2), int(s2, 2)
-        action = class_action(m, gates, weight)
-        for s, out in action.items():
-            want = {a: b, b: a}.get(s, s)
-            assert out == want
-        # Lighter classes are untouched (heavier ones may scramble).
-        for lighter in range(weight):
-            for s, out in class_action(m, gates, lighter).items():
-                assert out == s
+    # Every pair of every weight class at m=3..6: the fragment is one
+    # C^(k-1)SWAP between a FRED walk and that walk reversed, acts as
+    # exactly (s1 s2) on the class, and fixes every lighter class (heavier
+    # ones may scramble).
+    for m, weight in ((m, w) for m in range(3, 7) for w in range(1, m)):
+        states = strings_of_weight(m, weight)
+        lighter = [s for s in range(1 << m) if s.bit_count() < weight]
+        for i, a in enumerate(states):
+            for b in states[i + 1:]:
+                gates = synth_transposition(bits(a, m), bits(b, m), m)
+                centre = len(gates) // 2
+                assert gates == gates[::-1]
+                assert gates[centre].kind is GateKind.CKSWAP
+                assert gates[centre].k == weight - 1
+                others = gates[:centre] + gates[centre + 1:]
+                assert all(g.kind is GateKind.FRED for g in others)
+                p = circuit_to_permutation(Circuit(m, gates))
+                for s in states:
+                    assert p(s) == {a: b, b: a}.get(s, s)
+                assert all(p(s) == s for s in lighter)
 
 
 def test_synth_transposition_gate_count():
@@ -133,6 +97,11 @@ def test_synth_transposition_errors():
         synth_transposition("110", "101", 4)
     with pytest.raises(WeightMismatchError):
         synth_transposition("110", "100", 3)
+
+
+def test_synth_transposition_rejects_non_binary_strings():
+    with pytest.raises(ValueError):
+        synth_transposition("10x", "100", 3)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -232,6 +201,24 @@ def test_conservative_synthesis_verifies():
         assert all(g.kind is GateKind.FRED for g in c.gates)
         report = verify_realizes(c, p)
         assert report.passed, report.counterexample
+
+
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        (4, [16, 18, 18, 18, 20]),
+        (5, [84, 90, 92, 93, 95]),
+        (6, [428, 479, 495, 539, 546]),
+    ],
+)
+def test_conservative_synthesis_frozen_counts(n: int, counts: list[int]):
+    got = []
+    for seed in range(5):
+        p = sample_permutation(n, "conservative", seed=seed)
+        c = synth_conservative(p)
+        assert verify_realizes(c, p).passed
+        got.append(c.primitive_gate_count())
+    assert sorted(got) == counts
 
 
 def test_conservative_identity_is_empty():

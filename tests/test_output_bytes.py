@@ -26,7 +26,7 @@ ROUTES = {
 DIGESTS = {
     "general": "35e9fbba7f2b90b9f71e4bd3783e40132033ce4d009006333b1781df4b4addf6",
     "even": "9357fdbd0b725128f3f684d15128b0d33b39cbc260ab775d936e1c93500fbb06",
-    "conservative": "6e9a77db9684e26cbec45f6aa0db1457f4e1099e83e142e19a81ecd644c66505",
+    "conservative": "8b6cf211b95df3208299f6860d17840718f1e23c909c359a85ea5b895323423a",
 }
 
 

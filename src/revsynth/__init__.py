@@ -47,7 +47,6 @@ from .circuit import (
 )
 from .errors import (
     DepthLimitError,
-    EqualStringsError,
     InsufficientLinesError,
     NotConservativeError,
     OddPermutationError,
@@ -55,17 +54,12 @@ from .errors import (
     RangeError,
     RevsynthError,
     UnexpandableMacroError,
-    WeightMismatchError,
     WidthMismatchError,
     WidthOutOfRangeError,
 )
 from .even import TokenPair, synth_even, synth_fused, synth_pair
 from .expand import expand_macros
-from .fredkin import (
-    synth_ckswap,
-    synth_conservative,
-    synth_transposition,
-)
+from .fredkin import synth_ckswap, synth_conservative
 from .generators import TransformToken, decompose_generators
 from .netlist import read_netlist, write_netlist
 from .permutation import (
@@ -84,21 +78,13 @@ from .toffoli import (
     synth_not,
 )
 from .verify import SynthesisReport, verify_realizes
-from .weights import (
-    WeightClassDecomposition,
-    bits,
-    hamming_distance,
-    recompose,
-    strings_of_weight,
-    weight_decompose,
-)
+from .weights import bits, weight_decompose
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Circuit",
     "DepthLimitError",
-    "EqualStringsError",
     "GateInstance",
     "GateKind",
     "IndependenceResult",
@@ -117,8 +103,6 @@ __all__ = [
     "TokenPair",
     "TransformToken",
     "UnexpandableMacroError",
-    "WeightClassDecomposition",
-    "WeightMismatchError",
     "WidthMismatchError",
     "WidthOutOfRangeError",
     "apply_gate",
@@ -135,16 +119,13 @@ __all__ = [
     "expand_macros",
     "format_permutation",
     "fred",
-    "hamming_distance",
     "independence_check",
     "not_gate",
     "parity_vector",
     "parse_permutation",
     "read_netlist",
-    "recompose",
     "sample_permutation",
     "simulate",
-    "strings_of_weight",
     "swap",
     "synth_ccnot",
     "synth_cknot",
@@ -156,7 +137,6 @@ __all__ = [
     "synth_general",
     "synth_not",
     "synth_pair",
-    "synth_transposition",
     "verify_realizes",
     "vtof",
     "weight_decompose",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, ckswap, circuit_to_permutation
 from .errors import RangeError, WidthOutOfRangeError
-from .permutation import MAX_WIDTH, Permutation, transpositions
+from .permutation import MAX_WIDTH, Permutation
 from .weights import weight_decompose
 
 
@@ -53,11 +53,17 @@ class ParityVector:
 
 def parity_vector(p: Permutation) -> ParityVector:
     """Parity vector of a conservative permutation (one bit per weight
-    class)."""
-    decomp = weight_decompose(p)
-    return ParityVector(
-        p.width, tuple(len(transpositions(cls)) % 2 for cls in decomp.classes)
-    )
+    class).
+
+    :func:`weight_decompose` checks ``p``; then every cycle of ``p`` stays
+    inside one class, and a cycle of length L adds L - 1 transpositions
+    to its class's parity.
+    """
+    weight_decompose(p)  # raises NotConservativeError
+    entries = [0] * (p.width + 1)
+    for c in p.cycles():
+        entries[c[0].bit_count()] ^= (len(c) - 1) & 1
+    return ParityVector(p.width, tuple(entries))
 
 
 def binom_mod2(n: int, r: int) -> int:

@@ -106,8 +106,11 @@ class GateInstance(NamedTuple):
         elif kind is CKNOT:
             if n < 1:
                 raise ValueError("CKNOT needs at least a target line")
-        elif n < 2:
-            raise ValueError("CKSWAP needs at least two target lines")
+        elif kind is CKSWAP:
+            if n < 2:
+                raise ValueError("CKSWAP needs at least two target lines")
+        else:
+            raise ValueError(f"unknown gate kind {kind!r}")
         if len(set(lines)) != n:
             raise ValueError(f"gate lines must be distinct, got {lines}")
         if min(lines) < 1:
@@ -176,10 +179,9 @@ class Circuit:
             raise WidthOutOfRangeError(
                 f"circuit width must be in [1, {MAX_WIDTH}], got {self.width}"
             )
-        if not self.roles:
-            object.__setattr__(
-                self, "roles", tuple(LineRole.DATA for _ in range(self.width))
-            )
+        # Role names become members; an unknown name raises ValueError.
+        roles = tuple(map(LineRole, self.roles)) or (LineRole.DATA,) * self.width
+        object.__setattr__(self, "roles", roles)
         if len(self.roles) != self.width:
             raise ValueError(
                 f"{self.width} lines need {self.width} roles, got {len(self.roles)}"

@@ -35,14 +35,6 @@ class OddTokenCountError(RevsynthError):
     occurs an odd number of times."""
 
 
-class WeightMismatchError(RevsynthError):
-    """Two bit strings that must share a Hamming weight do not."""
-
-
-class EqualStringsError(RevsynthError):
-    """Two bit strings that must differ are equal."""
-
-
 class DepthLimitError(RevsynthError):
     """A recursive construction exceeds its supported depth."""
 

@@ -1,7 +1,8 @@
 """FRED-alphabet synthesis: conservative permutations over Fredkin gates.
 
-A conservative (weight-preserving) permutation is built class by class:
-within each Hamming-weight class, any permutation is a product of
+A conservative (weight-preserving) permutation is built class by class,
+on state integers throughout: one weight-class pass groups the states,
+and within each Hamming-weight class any permutation is a product of
 transpositions. Each transposition (a b) of weight-k states at Hamming
 distance 2d is a conjugation (after Shende, Prasad, Markov and Hayes,
 *Synthesis of reversible logic circuits*, IEEE TCAD 2003): d-1 plain
@@ -28,30 +29,13 @@ from .circuit import (
     initial_line_masks,
     masks_to_mapping,
 )
-from .errors import (
-    DepthLimitError,
-    EqualStringsError,
-    RangeError,
-    WeightMismatchError,
-    WidthOutOfRangeError,
-)
+from .errors import DepthLimitError, RangeError, WidthOutOfRangeError
 from .permutation import Permutation, transpositions
-from .weights import strings_of_weight, weight_decompose
+from .weights import weight_decompose
 
 CKSWAP_MAX_CONTROLS = 8
 CONSERVATIVE_MIN_WIDTH = 3
 CONSERVATIVE_MAX_WIDTH = 12
-
-
-def _check_weight_strings(s1: str, s2: str) -> None:
-    for s in (s1, s2):
-        if s.strip("01"):
-            raise ValueError(f"weight strings are binary, got {s!r}")
-    if s1.count("1") != s2.count("1"):
-        raise WeightMismatchError(
-            f"strings differ in weight: {s1} has {s1.count('1')} ones, "
-            f"{s2} has {s2.count('1')}"
-        )
 
 
 def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
@@ -62,7 +46,10 @@ def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
     is 0 and ``b`` is 1, both ascending. FRED(S[0], S[i], M[i]) for i >= 1
     moves ``a`` one step and never moves ``b``, which is 0 on S[0]. The
     centre C^(k-1)SWAP controls on the one-lines the walked ``a`` shares
-    with ``b`` and swaps S[0] with M[0]; the walk then runs back.
+    with ``b`` and swaps S[0] with M[0]; the walk then runs back. At
+    Hamming distance 2d that is 2d-1 gates, one of them a CKSWAP. Classes
+    below weight k are never touched; heavier classes may move (the stage
+    plan corrects for that).
     """
     lines = range(1, n + 1)
     s = [l for l in lines if (a & ~b) >> (n - l) & 1]
@@ -74,27 +61,6 @@ def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
     controls = tuple(l for l in lines if shared >> (n - l) & 1)
     centre = ckswap(controls, min(s[0], m[0]), max(s[0], m[0]))
     return walk + (centre,) + walk[::-1]
-
-
-def synth_transposition(s1: str, s2: str, m: int) -> tuple[GateInstance, ...]:
-    """Macro fragment whose induced action on the weight class of
-    ``s1``/``s2`` is exactly the transposition (s1 s2).
-
-    String index i is line i + 1. At Hamming distance 2d the fragment is
-    d-1 plain FREDs that walk ``s1`` toward ``s2`` without moving ``s2``,
-    one C^(k-1)SWAP controlled on the k-1 one-positions the walked ``s1``
-    shares with ``s2``, and the walk reversed: 2d-1 gates, one of them a
-    CKSWAP. Classes below weight k are never touched; classes above k may
-    move (callers correct for that stage by stage).
-    """
-    if len(s1) != m or len(s2) != m:
-        raise WeightMismatchError(
-            f"strings must have length {m}, got {len(s1)} and {len(s2)}"
-        )
-    if s1 == s2:
-        raise EqualStringsError(f"cannot transpose {s1} with itself")
-    _check_weight_strings(s1, s2)
-    return _transposition_gates(int(s1, 2), int(s2, 2), m)
 
 
 def _merged_ckswap(
@@ -239,23 +205,24 @@ def conservative_stage_plan(
     """Macro gate plan for a conservative permutation, one entry per
     weight class in ascending order.
 
-    Stage k synthesizes the correction on the weight-k class: each weight-k
-    state ``s`` sits at ``image[s]`` after the earlier stages (their gates
-    spill into higher classes), and the stage moves it on to ``p(s)``. The
-    correction's transpositions come from the cycle walker over state
-    integers, so each stage's pairs are in ascending numeric order.
-    ``image`` is read from bitsliced line masks that every stage's gates
-    advance in one pass. Because stage-k gates never touch classes below
-    k, each stage locks in all classes up to its own weight.
+    One :func:`weight_decompose` pass checks ``p`` and groups its states
+    by weight. Stage k synthesizes the correction on the weight-k class:
+    each weight-k state ``s`` sits at ``image[s]`` after the earlier
+    stages (their gates spill into higher classes), and the stage moves it
+    on to ``p(s)``. The correction's transpositions come from the cycle
+    walker over state integers, so each stage's pairs are in ascending
+    numeric order. ``image`` is read from bitsliced line masks that every
+    stage's gates advance in one pass. Because stage-k gates never touch
+    classes below k, each stage locks in all classes up to its own weight.
     """
     n = p.width
-    weight_decompose(p)  # the conservative check: raises NotConservativeError
+    classes = weight_decompose(p)  # raises NotConservativeError
     masks = initial_line_masks(n)
     plan: list[tuple[int, tuple[GateInstance, ...]]] = []
     for k in range(1, n):
         image = masks_to_mapping(masks, n)
         correction = list(range(1 << n))
-        for s in strings_of_weight(n, k):
+        for s in classes[k]:
             correction[image[s]] = p(s)
         stage: list[GateInstance] = []
         for a, b in transpositions(correction):

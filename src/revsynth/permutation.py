@@ -7,6 +7,7 @@ the most significant bit, line ``n`` the least significant one.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Sequence
 
@@ -34,7 +35,7 @@ class Permutation:
                 f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {width}"
             )
         size = 1 << width
-        mapping = tuple(mapping)
+        mapping = tuple(map(operator.index, mapping))  # ints only, no floats
         if len(mapping) != size:
             raise WidthMismatchError(
                 f"width {width} needs {size} images, got {len(mapping)}"

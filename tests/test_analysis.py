@@ -42,6 +42,28 @@ def test_parity_vector_frozen_examples():
     assert parity_vector(swap_perm).entries == (0, 1, 1, 0)
 
 
+def class_inversion_parities(p: Permutation) -> tuple[int, ...]:
+    # Independent oracle: the parity of p restricted to each weight class
+    # is its inversion count mod 2.
+    out = []
+    for k in range(p.width + 1):
+        states = [x for x in range(1 << p.width) if x.bit_count() == k]
+        images = [p(x) for x in states]
+        inversions = sum(
+            1 for i, a in enumerate(images) for b in images[i + 1:] if a > b
+        )
+        out.append(inversions % 2)
+    return tuple(out)
+
+
+def test_parity_vector_matches_inversion_oracle():
+    rng = random.Random(71)
+    for width in range(3, 8):
+        for _ in range(4):
+            p = sample_permutation(width, "conservative", seed=rng.getrandbits(32))
+            assert parity_vector(p).entries == class_inversion_parities(p)
+
+
 def test_parity_vector_rejects_non_conservative():
     with pytest.raises(NotConservativeError):
         parity_vector(Permutation.from_cycle(3, (0, 1)))

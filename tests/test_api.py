@@ -13,6 +13,13 @@ REMOVED = (
     "parity",  # Permutation.parity
     "synth_t1",  # toffoli.transposition_gates(0, 1, n)
     "pair_tokens",  # even.pair_runs
+    "WeightClassDecomposition",  # weights.weight_decompose's classes tuple
+    "recompose",  # Permutation: the classes list states, not images
+    "strings_of_weight",  # weights.weight_decompose(p)[k]
+    "hamming_distance",  # (a ^ b).bit_count()
+    "synth_transposition",  # fredkin._transposition_gates on state integers
+    "EqualStringsError",  # callers of fredkin._transposition_gates pass a != b
+    "WeightMismatchError",  # weights.weight_decompose's NotConservativeError
 )
 
 

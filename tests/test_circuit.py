@@ -145,6 +145,11 @@ def test_gate_validation_errors():
         GateInstance(GateKind.CKSWAP, (1,)).validate()
     with pytest.raises(ValueError):
         cknot((1, 2), 2)
+    # A plain string is not a gate kind, even when it names one.
+    with pytest.raises(ValueError, match="unknown gate kind 'VTOF'"):
+        GateInstance("VTOF", (1, 2, 3)).validate()
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        Circuit(3, (GateInstance("VTOF", (1, 2, 3)),))
 
 
 def test_circuit_roles_default_to_data():
@@ -163,6 +168,18 @@ def test_circuit_role_queries():
     assert c.lines_with_role(LineRole.BORROWED) == (2,)
     assert c.lines_with_role(LineRole.ANCILLA0) == (3,)
     assert c.role_counts()["borrowed"] == 1
+
+
+def test_circuit_role_names_become_members():
+    c = Circuit(3, (), ("data", "data", "borrowed"))
+    assert c.roles == (LineRole.DATA, LineRole.DATA, LineRole.BORROWED)
+    assert all(type(r) is LineRole for r in c.roles)
+    assert c.lines_with_role(LineRole.DATA) == (1, 2)
+    assert c.role_counts() == {
+        "data": 2, "ancilla0": 0, "ancilla1": 0, "borrowed": 1,
+    }
+    with pytest.raises(ValueError):
+        Circuit(3, (), ("data", "data", "dirty"))
 
 
 def test_circuit_validation_errors():

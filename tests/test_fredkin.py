@@ -18,54 +18,53 @@ from revsynth.circuit import (
 )
 from revsynth.errors import (
     DepthLimitError,
-    EqualStringsError,
     NotConservativeError,
     RangeError,
-    WeightMismatchError,
     WidthOutOfRangeError,
 )
 from revsynth.fredkin import (
     _merged_ckswap,
+    _transposition_gates,
     ckswap_fred_with_ancilla,
     conservative_stage_plan,
     relabelled_ckswap,
     synth_ckswap,
     synth_conservative,
-    synth_transposition,
 )
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.verify import verify_realizes
-from revsynth.weights import bits, hamming_distance, strings_of_weight
+from revsynth.weights import weight_decompose
 
 from conftest import ckswap_permutation
 
 
-def random_weight_string(rng: random.Random, length: int, weight: int) -> str:
-    ones = set(rng.sample(range(length), weight))
-    return "".join("1" if i in ones else "0" for i in range(length))
+def random_weight_state(rng: random.Random, width: int, weight: int) -> int:
+    return sum(1 << i for i in rng.sample(range(width), weight))
 
 
 def test_synth_transposition_exact_on_its_class():
     # Every pair of every weight class at m=3..6: the fragment is one
     # C^(k-1)SWAP between a FRED walk and that walk reversed, acts as
-    # exactly (s1 s2) on the class, and fixes every lighter class (heavier
+    # exactly (a b) on the class, and fixes every lighter class (heavier
     # ones may scramble).
-    for m, weight in ((m, w) for m in range(3, 7) for w in range(1, m)):
-        states = strings_of_weight(m, weight)
-        lighter = [s for s in range(1 << m) if s.bit_count() < weight]
-        for i, a in enumerate(states):
-            for b in states[i + 1:]:
-                gates = synth_transposition(bits(a, m), bits(b, m), m)
-                centre = len(gates) // 2
-                assert gates == gates[::-1]
-                assert gates[centre].kind is GateKind.CKSWAP
-                assert gates[centre].k == weight - 1
-                others = gates[:centre] + gates[centre + 1:]
-                assert all(g.kind is GateKind.FRED for g in others)
-                p = circuit_to_permutation(Circuit(m, gates))
-                for s in states:
-                    assert p(s) == {a: b, b: a}.get(s, s)
-                assert all(p(s) == s for s in lighter)
+    for m in range(3, 7):
+        classes = weight_decompose(Permutation.identity(m))
+        for weight in range(1, m):
+            states = classes[weight]
+            lighter = [s for s in range(1 << m) if s.bit_count() < weight]
+            for i, a in enumerate(states):
+                for b in states[i + 1:]:
+                    gates = _transposition_gates(a, b, m)
+                    centre = len(gates) // 2
+                    assert gates == gates[::-1]
+                    assert gates[centre].kind is GateKind.CKSWAP
+                    assert gates[centre].k == weight - 1
+                    others = gates[:centre] + gates[centre + 1:]
+                    assert all(g.kind is GateKind.FRED for g in others)
+                    p = circuit_to_permutation(Circuit(m, gates))
+                    for s in states:
+                        assert p(s) == {a: b, b: a}.get(s, s)
+                    assert all(p(s) == s for s in lighter)
 
 
 def test_synth_transposition_gate_count():
@@ -73,35 +72,21 @@ def test_synth_transposition_gate_count():
     for _ in range(15):
         m = rng.randint(3, 7)
         weight = rng.randint(1, m - 1)
-        s1 = random_weight_string(rng, m, weight)
-        s2 = random_weight_string(rng, m, weight)
-        if s1 == s2:
+        a = random_weight_state(rng, m, weight)
+        b = random_weight_state(rng, m, weight)
+        if a == b:
             continue
-        gates = synth_transposition(s1, s2, m)
-        d = hamming_distance(int(s1, 2), int(s2, 2)) // 2
+        gates = _transposition_gates(a, b, m)
+        d = (a ^ b).bit_count() // 2
         assert len(gates) == 2 * d - 1
 
 
 def test_synth_transposition_adjacent_pair_is_single_gate():
-    gates = synth_transposition("11100", "11010", 5)
+    gates = _transposition_gates(0b11100, 0b11010, 5)
     assert len(gates) == 1
     g = gates[0]
     assert g.kind is GateKind.CKSWAP
     assert g.controls == (1, 2) and set(g.targets) == {3, 4}
-
-
-def test_synth_transposition_errors():
-    with pytest.raises(EqualStringsError):
-        synth_transposition("110", "110", 3)
-    with pytest.raises(WeightMismatchError):
-        synth_transposition("110", "101", 4)
-    with pytest.raises(WeightMismatchError):
-        synth_transposition("110", "100", 3)
-
-
-def test_synth_transposition_rejects_non_binary_strings():
-    with pytest.raises(ValueError):
-        synth_transposition("10x", "100", 3)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -177,6 +162,7 @@ def test_stage_plan_locks_classes_in_ascending_order():
         n = rng.randint(3, 6)
         p = sample_permutation(n, "conservative", seed=rng.getrandbits(32))
         plan = conservative_stage_plan(p)
+        classes = weight_decompose(p)
         assert [k for k, _ in plan] == list(range(1, n))
         done: list = []
         for k, stage in plan:
@@ -184,7 +170,7 @@ def test_stage_plan_locks_classes_in_ascending_order():
             c = Circuit(n, tuple(done))
             # Classes up to k now match the target for good.
             for j in range(k + 1):
-                for s in strings_of_weight(n, j):
+                for s in classes[j]:
                     assert simulate(c, s) == p(s)
         full = Circuit(n, tuple(done))
         for s in range(1 << n):
@@ -258,7 +244,7 @@ def test_fred_circuits_fix_weight_one_states():
             a, b, c = rng.sample(range(1, width + 1), 3)
             gates.append(fred(a, b, c))
         circ = Circuit(width, tuple(gates))
-        for s in [0] + strings_of_weight(width, 1):
+        for s in [0] + [1 << i for i in range(width)]:
             assert simulate(circ, s) == s
 
 

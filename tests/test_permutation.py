@@ -93,6 +93,14 @@ def test_rejects_non_bijection():
         Permutation(2, [0, 0, 1, 2])
 
 
+def test_images_are_integers():
+    p = Permutation(2, [True, False, 3, 2])
+    assert p.mapping == (1, 0, 3, 2)
+    assert all(type(y) is int for y in p.mapping)
+    with pytest.raises(TypeError):
+        Permutation(2, [1.0, 0.0, 2.0, 3.0])
+
+
 def test_three_cycle_decomposes_to_two_transpositions():
     p = Permutation.from_cycle(2, (0, 1, 2))
     pairs = p.to_transpositions()

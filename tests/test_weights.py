@@ -1,5 +1,5 @@
-"""Weight classes: decomposition of conservative permutations and its
-inverse."""
+"""Weight classes: the one pass that checks a conservative permutation and
+groups its states by Hamming weight."""
 
 from __future__ import annotations
 
@@ -9,13 +9,7 @@ import pytest
 
 from revsynth.errors import NotConservativeError
 from revsynth.permutation import Permutation, sample_permutation
-from revsynth.weights import (
-    bits,
-    hamming_distance,
-    recompose,
-    strings_of_weight,
-    weight_decompose,
-)
+from revsynth.weights import bits, weight_decompose
 
 
 def test_bits_msb_first():
@@ -24,34 +18,27 @@ def test_bits_msb_first():
     assert bits(1, 4) == "0001"
 
 
-def test_hamming_distance():
-    assert hamming_distance(0b101, 0b101) == 0
-    assert hamming_distance(0b1100, 0b0011) == 4
-
-
 def test_strings_of_weight_ascending():
-    assert strings_of_weight(4, 0) == [0]
-    assert strings_of_weight(4, 1) == [1, 2, 4, 8]
-    assert strings_of_weight(4, 2) == [3, 5, 6, 9, 10, 12]
-    assert strings_of_weight(4, 4) == [15]
-    total = sum(len(strings_of_weight(4, k)) for k in range(5))
-    assert total == 16
+    classes = weight_decompose(Permutation.identity(4))
+    assert classes == (
+        (0,),
+        (1, 2, 4, 8),
+        (3, 5, 6, 9, 10, 12),
+        (7, 11, 13, 14),
+        (15,),
+    )
 
 
 def test_decompose_identity():
-    d = weight_decompose(Permutation.identity(4))
-    assert d.width == 4
-    assert all(cls == tuple(range(len(cls))) for cls in d.classes)
+    classes = weight_decompose(Permutation.identity(3))
+    assert classes == ((0,), (1, 2, 4), (3, 5, 6), (7,))
 
 
 def test_decompose_fredkin_swaps_one_class_pair():
+    # The classes list states, not images: a Fredkin gate has the same
+    # classes as the identity.
     fredkin = Permutation(3, [0, 1, 2, 3, 4, 6, 5, 7])
-    d = weight_decompose(fredkin)
-    assert d.classes[0] == (0,) and d.classes[1] == (0, 1, 2) and d.classes[3] == (0,)
-    states = strings_of_weight(3, 2)  # [3, 5, 6]
-    i5, i6 = states.index(5), states.index(6)
-    assert d.classes[2][i5] == i6 and d.classes[2][i6] == i5
-    assert d.classes[2][states.index(3)] == states.index(3)
+    assert weight_decompose(fredkin) == weight_decompose(Permutation.identity(3))
 
 
 def test_decompose_rejects_non_conservative():
@@ -59,9 +46,26 @@ def test_decompose_rejects_non_conservative():
         weight_decompose(Permutation.from_cycle(3, (0, 1)))
 
 
-def test_recompose_round_trip():
-    rng = random.Random(53)
-    for width in (3, 4, 5):
-        for _ in range(10):
+def test_decompose_names_the_lowest_offending_input():
+    # 001 -> 011 and 100 -> 000 both change weight; 001 is named first.
+    p = Permutation(3, [4, 3, 2, 1, 0, 5, 6, 7])
+    with pytest.raises(NotConservativeError) as err:
+        weight_decompose(p)
+    assert str(err.value) == "input 000 (weight 0) maps to 100 (weight 1)"
+    p = Permutation.from_cycle(3, (1, 3))
+    with pytest.raises(NotConservativeError) as err:
+        weight_decompose(p)
+    assert str(err.value) == "input 001 (weight 1) maps to 011 (weight 2)"
+
+
+def test_classes_partition_the_states():
+    rng = random.Random(59)
+    for width in range(3, 9):
+        for _ in range(3):
             p = sample_permutation(width, "conservative", seed=rng.getrandbits(32))
-            assert recompose(weight_decompose(p)) == p
+            classes = weight_decompose(p)
+            assert len(classes) == width + 1
+            assert sorted(s for cls in classes for s in cls) == list(range(1 << width))
+            for k, cls in enumerate(classes):
+                assert list(cls) == sorted(cls)
+                assert all(s.bit_count() == k for s in cls)

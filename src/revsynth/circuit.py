@@ -193,6 +193,11 @@ class Circuit:
         for g in dict.fromkeys(self.gates):
             g.validate()
             kind, lines = g
+            # Checked here, not in the gate factories, so it runs once per
+            # distinct gate; a bool or float line would print as a token
+            # that read_netlist rejects and fail later in simulation.
+            if not all(type(l) is int for l in lines):
+                raise TypeError(f"gate lines must be integers, got {lines}")
             if max(lines) > self.width:
                 raise ValueError(
                     f"gate {kind.value} {lines} exceeds width {self.width}"

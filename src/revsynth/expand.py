@@ -2,9 +2,12 @@
 
 The VTOF alphabet lowers CKNOT macros through the recursive helper-line
 construction; the FRED alphabet lowers CKSWAP macros through one
-borrowed-pair cascade paired on the last control and an ancilla line:
-3, 10, 46, 190 gates at k=2..5 against a 0 ancilla, T(k) = 4 T(k-1) + 6
-from k=4, and 5, 15, 61, 251 against a 1, which adds a C^(k-1)SWAP tail.
+borrowed-pair lowering whose controls split in half
+(``fredkin.ckswap_fred_with_ancilla``): 3, 10, 12, 42, 102, 162, 282 gates
+at k=2..8 against a 0 ancilla, 2 + S(k-2) from k=4 with
+S(k) = 2 S(ceil(k/2)) + 2 S(floor(k/2) + 1), and 5, 15, 55, 155, 315, 595,
+995 against a 1, which pairs the last control with the ancilla and adds a
+C^(k-1)SWAP tail.
 Every CKSWAP, k=0 and k=1 included, goes through that one lowering, which
 is built once per (k, ancilla value) on canonical lines and relabelled
 onto each gate's lines (``fredkin.relabelled_ckswap``).

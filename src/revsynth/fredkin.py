@@ -9,9 +9,14 @@ distance 2d is a conjugation (after Shende, Prasad, Markov and Hayes,
 Fredkin gates walk ``a`` to a neighbour of ``b`` without moving ``b``, one
 C^(k-1)SWAP exchanges that neighbour with ``b``, and the walk runs back.
 Each multi-controlled swap lowers to plain Fredkin gates against one extra
-line: a recursive cascade that takes the last control and the extra line
-as its borrowed pair, and whose inner levels borrow their enclosing gate's
-target pair, so a single extra line serves any control count.
+line, which with the last control forms a borrowed pair of opposite-valued
+lines. Under such a pair the controls split in half (after Barenco et al.,
+*Elementary gates for quantum computation*, 1995, Cor. 7.4): one half
+swaps the pair, the other half swaps the targets, and each recursive call
+borrows lines of its caller, so a single extra line serves any control
+count. A C^kSWAP against a 0 ancilla is 10, 12, 42, 102, 162, 282 gates at
+k=3..8: the size grows about as k^2, where peeling one control at a time
+grew 4x per control.
 """
 
 from __future__ import annotations
@@ -73,26 +78,39 @@ def _merged_ckswap(
 
     Exact C^kSWAP when the pair lines hold opposite values (controls and
     pair restored, either orientation); the identity on every line when
-    they hold equal values. The cascade runs twice, once routed through
-    each pair line, so the halves cancel whenever the pair is equal.
-    Children recurse with the enclosing gate's target pair as their own
-    borrowed pair, which is what keeps the line budget flat. k=1 is a bare
-    FRED and ignores the pair; T(k) = 4 T(k-1) + 6 gates, so 10, 46, 190
-    and 766 at k=2..5.
+    they hold equal values. k=1 is a bare FRED and ignores the pair.
+
+    k=2 is five gates routed through x, then the same five through y, so
+    the halves cancel whenever the pair is equal. From k=3 the controls split
+    in half, after Barenco et al., *Elementary gates for quantum
+    computation* (1995), Cor. 7.4, with the pair as a dual-rail bit x:
+    ``toggle`` swaps the pair under the head controls, borrowing the
+    targets; ``use`` swaps the targets under the rest, x and head[0],
+    borrowing (y, head[0]), which differ whenever x = 1 and head[0] = 1.
+    toggle, use, toggle, use fires ``use`` once iff the head is all 1, and
+    twice or never otherwise. An equal pair makes both toggles idle and
+    the two uses cancel. S(k) = 2 S(ceil(k/2)) + 2 S(floor(k/2) + 1)
+    gates: 10, 40, 100, 160, 280, 400, 520 at k=2..8.
     """
     if len(controls) == 1:
         return [fred(controls[0], targets[0], targets[1])]
     x, y = pair
-    t1, t2 = targets
-    steer_x = fred(x, controls[0], y)
-    steer_y = fred(y, controls[0], x)
-    child_x = _merged_ckswap(controls[:-1], (controls[-1], x), (t1, t2))
-    child_y = _merged_ckswap(controls[:-1], (controls[-1], y), (t1, t2))
-    move = fred(controls[-1], t1, t2)
-    return (
-        [steer_x] + child_x + [move] + child_x + [steer_x]
-        + [steer_y] + child_y + [move] + child_y + [steer_y]
-    )
+    if len(controls) == 2:
+        t1, t2 = targets
+        steer_x = fred(x, controls[0], y)
+        steer_y = fred(y, controls[0], x)
+        move = fred(controls[1], t1, t2)
+        via_x = fred(controls[0], controls[1], x)
+        via_y = fred(controls[0], controls[1], y)
+        return [
+            steer_x, via_x, move, via_x, steer_x,
+            steer_y, via_y, move, via_y, steer_y,
+        ]
+    half = (len(controls) + 1) // 2
+    head, rest = controls[:half], controls[half:]
+    toggle = _merged_ckswap(head, pair, targets)
+    use = _merged_ckswap(rest + (x,), targets, (y, head[0]))
+    return toggle + use + toggle + use
 
 
 def ckswap_fred_with_ancilla(
@@ -106,15 +124,17 @@ def ckswap_fred_with_ancilla(
 
     Exact on the subspace where the ancilla holds ``ancilla_value``
     (restored there). For k >= 3 the last control and the ancilla are the
-    borrowed pair of one C^(k-1)SWAP cascade, which swaps iff the other
-    controls P are all 1 and the last control differs from the ancilla:
-    the whole C^kSWAP for a 0 ancilla. At k=2 a one-control cascade would
-    ignore its pair, so the product is parked on the ancilla around one
-    swap from it. Under a 1 ancilla either form fires on P and not c_k,
-    and a tail one control shorter adds P. Gates at k=2..5: 3, 10, 46, 190
-    against 0 (the cascade's T(k-1) from k=3); 5, 15, 61, 251 against 1,
-    T1(k) = T0(k) + T1(k-1) from k=3 (at k=2 the extra fire gives
-    3 + 1 + 1).
+    borrowed pair of one C^(k-1)SWAP, which swaps iff the other controls P
+    are all 1 and the last control differs from the ancilla: the whole
+    C^kSWAP for a 0 ancilla. At k=2 a one-control lowering would ignore its
+    pair, so the product is parked on the ancilla around one swap from it.
+    A 0 ancilla parks from k=4 too: FRED(c1, c2, z) leaves z = c1 and c2,
+    and c2 = 0 wherever z = 1, so (c_k, c2) pairs a C^(k-2)SWAP on z and
+    c3..c_(k-1), 2 + S(k-2) gates. Under a 1 ancilla the unparked form
+    fires on P and not c_k, and a tail one control shorter adds P. Gates
+    at k=2..8: 3, 10, 12, 42, 102, 162, 282 against 0; 5, 15, 55, 155,
+    315, 595, 995 against 1, T1(k) = S(k-1) + T1(k-1) from k=3 (at k=2
+    the extra fire gives 3 + 1 + 1).
     """
     k = len(controls)
     if k == 1:
@@ -124,11 +144,15 @@ def ckswap_fred_with_ancilla(
     fire = fred(ancilla_line, targets[0], targets[1])
     if k == 0:
         return (fire,)
+    park = fred(controls[0], controls[1], ancilla_line)
     if k == 2:
         # A 1-valued park fires on not (c1 and not c2); one more fire
-        # leaves c1 and not c2, as the k >= 3 cascade fires.
-        park = fred(controls[0], controls[1], ancilla_line)
+        # leaves c1 and not c2, as the unparked k >= 3 form fires.
         gates = (park, fire, park) + (fire,) * ancilla_value
+    elif k >= 4 and ancilla_value == 0:
+        pair = (controls[-1], controls[1])
+        inner = (ancilla_line,) + controls[2:-1]
+        gates = (park, *_merged_ckswap(inner, targets, pair), park)
     else:
         pair = (controls[-1], ancilla_line)
         gates = tuple(_merged_ckswap(controls[:-1], targets, pair))
@@ -179,9 +203,10 @@ def relabelled_ckswap(
 def synth_ckswap(k: int) -> Circuit:
     """Primitive FRED circuit for the C^kSWAP on k+3 lines: k controls,
     two targets, one ancilla fixed at 0 (k=1 is a single Fredkin gate on
-    3 lines, no ancilla). From k=3 it is one borrowed-pair cascade on the
-    first k-1 controls, paired on line k and the ancilla: 10, 46, 190 gates
-    at k=3..5, T(k) = 4 T(k-1) + 6.
+    3 lines, no ancilla). k=3 is one C^2SWAP on the first two controls,
+    paired on line 3 and the ancilla (10 gates); from k=4 the first two
+    controls are parked on the ancilla around one C^(k-2)SWAP, 2 + S(k-2)
+    gates: 12, 42, 102, 162, 282 at k=4..8.
     """
     if k < 1:
         raise RangeError(f"control count must be at least 1, got {k}")

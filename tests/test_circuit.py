@@ -27,6 +27,7 @@ from revsynth.circuit import (
     vtof,
 )
 from revsynth.errors import WidthOutOfRangeError
+from revsynth.netlist import read_netlist, write_netlist
 
 from conftest import random_primitive_circuit
 
@@ -150,6 +151,27 @@ def test_gate_validation_errors():
         GateInstance("VTOF", (1, 2, 3)).validate()
     with pytest.raises(ValueError, match="unknown gate kind"):
         Circuit(3, (GateInstance("VTOF", (1, 2, 3)),))
+
+
+def test_gate_lines_must_be_integers():
+    # The circuit is the trust boundary: a float or bool line would report
+    # is_primitive() and write "FRED 1.0 2 3", failing only in simulation.
+    for bad in (
+        GateInstance(GateKind.FRED, (1.0, 2, 3)),
+        GateInstance(GateKind.VTOF, (2, True, 3)),
+        GateInstance(GateKind.CKSWAP, (1, 2, 3.0)),
+    ):
+        with pytest.raises(TypeError, match="lines must be integers"):
+            Circuit(3, (vtof(1, 2, 3), bad))
+    # Text with such a line is refused on read, and the gates read_netlist
+    # builds carry int lines, so they pass the circuit check.
+    head = "lines 3\nrole 1 data\nrole 2 data\nrole 3 ancilla0\n"
+    with pytest.raises(ValueError, match="netlist line 5"):
+        read_netlist(head + "FRED 1.0 2 3\n")
+    c = read_netlist(head + "FRED 1 2 3\nCKSWAP 1 3 1 2\nFRED 1 2 3\n")
+    assert all(type(l) is int for g in c.gates for l in g.lines)
+    assert c.gates == (fred(1, 2, 3), ckswap((3,), 1, 2), fred(1, 2, 3))
+    assert read_netlist(write_netlist(c)) == c
 
 
 def test_circuit_roles_default_to_data():

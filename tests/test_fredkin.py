@@ -89,30 +89,45 @@ def test_synth_transposition_adjacent_pair_is_single_gate():
     assert g.controls == (1, 2) and set(g.targets) == {3, 4}
 
 
-@pytest.mark.parametrize("k", [2, 3])
+MERGED_SIZES = {1: 1, 2: 10, 3: 40, 4: 100, 5: 160, 6: 280, 7: 400}
+
+
+def merged_size(k: int) -> int:
+    """S(k) of the split lowering: a bare FRED at k=1, ten gates at k=2,
+    then toggle, use, toggle, use on ceil(k/2) and floor(k/2)+1 controls."""
+    if k <= 2:
+        return {1: 1, 2: 10}[k]
+    return 2 * merged_size((k + 1) // 2) + 2 * merged_size(k // 2 + 1)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
 def test_synth_ckswap_borrowed_pair_both_regimes(k: int):
     width = k + 4
     lines = tuple(range(1, k + 3))
-    pair = (k + 3, k + 4)
-    gates = _merged_ckswap(lines[:k], lines[k:], pair)
-    assert len(gates) == {2: 10, 3: 46}[k]
-    assert all(g.kind is GateKind.FRED for g in gates)
-    c = Circuit(width, tuple(gates))
     want = ckswap_permutation(width, lines[:k], lines[k], lines[k + 1])
-    for s in range(1 << width):
-        px, py = bit_of(s, pair[0], width), bit_of(s, pair[1], width)
-        out = simulate(c, s)
-        if px == py:
-            # Equal pair: the two halves cancel on every line.
-            assert out == s
-        else:
-            # Opposite pair: exact swap, pair and controls restored.
-            assert out == want(s)
+    # Both orientations of the pair argument; states cover both values.
+    for pair in ((k + 3, k + 4), (k + 4, k + 3)):
+        gates = _merged_ckswap(lines[:k], lines[k:], pair)
+        assert len(gates) == merged_size(k) == MERGED_SIZES[k]
+        assert all(g.kind is GateKind.FRED for g in gates)
+        got = circuit_to_permutation(Circuit(width, tuple(gates)))
+        for s in range(1 << width):
+            px, py = bit_of(s, pair[0], width), bit_of(s, pair[1], width)
+            if px == py and k > 1:
+                # Equal pair: the lowering is the identity on every line.
+                assert got(s) == s
+            else:
+                # Opposite pair (or a bare FRED): exact swap, pair and
+                # controls restored.
+                assert got(s) == want(s)
 
 
 @pytest.mark.parametrize(
     "k, lines, gate_count",
-    [(1, 3, 1), (2, 5, 3), (3, 6, 10), (4, 7, 46), (5, 8, 190)],
+    [
+        (1, 3, 1), (2, 5, 3), (3, 6, 10), (4, 7, 12), (5, 8, 42),
+        (6, 9, 102), (7, 10, 162), (8, 11, 282),
+    ],
 )
 def test_synth_ckswap_exact_with_frozen_counts(k: int, lines: int, gate_count: int):
     c = synth_ckswap(k)
@@ -127,7 +142,7 @@ def test_synth_ckswap_exact_with_frozen_counts(k: int, lines: int, gate_count: i
 
 
 @pytest.mark.parametrize("value", [0, 1])
-@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("k", range(9))
 def test_relabelled_ckswap_is_the_direct_lowering(k: int, value: int):
     # Two scattered, non-ascending line choices per (k, value): the first
     # builds the shape (or finds it from an earlier test), the second reuses
@@ -194,7 +209,7 @@ def test_conservative_synthesis_verifies():
     [
         (4, [16, 18, 18, 18, 20]),
         (5, [84, 90, 92, 93, 95]),
-        (6, [428, 479, 495, 539, 546]),
+        (6, [416, 461, 477, 515, 522]),
     ],
 )
 def test_conservative_synthesis_frozen_counts(n: int, counts: list[int]):

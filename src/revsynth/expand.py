@@ -5,9 +5,9 @@ construction; the FRED alphabet lowers CKSWAP macros through one
 borrowed-pair lowering whose controls split in half
 (``fredkin.ckswap_fred_with_ancilla``): 3, 10, 12, 42, 102, 162, 282 gates
 at k=2..8 against a 0 ancilla, 2 + S(k-2) from k=4 with
-S(k) = 2 S(ceil(k/2)) + 2 S(floor(k/2) + 1), and 5, 15, 55, 155, 315, 595,
-995 against a 1, which pairs the last control with the ancilla and adds a
-C^(k-1)SWAP tail.
+S(k) = 2 S(ceil(k/2)) + 2 S(floor(k/2) + 1), and 5, 15, 17, 57, 119, 219,
+401 against a 1, T1(k) = T1(k-2) + S(k-2) + 2 from k=4, which folds the
+last two controls into a pair with the ancilla and adds a C^(k-2)SWAP tail.
 Every CKSWAP, k=0 and k=1 included, goes through that one lowering, which
 is built once per (k, ancilla value) on canonical lines and relabelled
 onto each gate's lines (``fredkin.relabelled_ckswap``).

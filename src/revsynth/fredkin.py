@@ -16,7 +16,9 @@ swaps the pair, the other half swaps the targets, and each recursive call
 borrows lines of its caller, so a single extra line serves any control
 count. A C^kSWAP against a 0 ancilla is 10, 12, 42, 102, 162, 282 gates at
 k=3..8: the size grows about as k^2, where peeling one control at a time
-grew 4x per control.
+grew 4x per control. Against a 1 ancilla the last two controls fold into
+the pair: 15, 17, 57, 119, 219, 401 gates at k=3..8,
+T1(k) = T1(k-2) + S(k-2) + 2 from k=4.
 """
 
 from __future__ import annotations
@@ -123,17 +125,22 @@ def ckswap_fred_with_ancilla(
     line whose starting value is known.
 
     Exact on the subspace where the ancilla holds ``ancilla_value``
-    (restored there). For k >= 3 the last control and the ancilla are the
-    borrowed pair of one C^(k-1)SWAP, which swaps iff the other controls P
-    are all 1 and the last control differs from the ancilla: the whole
-    C^kSWAP for a 0 ancilla. At k=2 a one-control lowering would ignore its
-    pair, so the product is parked on the ancilla around one swap from it.
-    A 0 ancilla parks from k=4 too: FRED(c1, c2, z) leaves z = c1 and c2,
+    (restored there). At k=3 the last control and the ancilla are the
+    borrowed pair of one C^2SWAP, which swaps iff the other controls P are
+    all 1 and the last control differs from the ancilla: the whole C^3SWAP
+    for a 0 ancilla; under a 1 it fires on P and not c3, and a C^2SWAP
+    tail adds P. At k=2 a one-control lowering would ignore its pair, so
+    the product is parked on the ancilla around one swap from it.
+    From k=4 a 0 ancilla parks too: FRED(c1, c2, z) leaves z = c1 and c2,
     and c2 = 0 wherever z = 1, so (c_k, c2) pairs a C^(k-2)SWAP on z and
-    c3..c_(k-1), 2 + S(k-2) gates. Under a 1 ancilla the unparked form
-    fires on P and not c_k, and a tail one control shorter adds P. Gates
-    at k=2..8: 3, 10, 12, 42, 102, 162, 282 against 0; 5, 15, 55, 155,
-    315, 595, 995 against 1, T1(k) = S(k-1) + T1(k-1) from k=3 (at k=2
+    c3..c_(k-1), 2 + S(k-2) gates. From k=4 a 1 ancilla folds the last
+    two controls u, v into a pair instead: with z = 1, FRED(u, v, z)
+    leaves u and z different exactly when not (u and v), so a head-only
+    tail that fires on h = c1..c_(k-2), then a C^(k-2)SWAP on h paired on
+    (u, z) between two such FREDs, which fires on h and not (u and v),
+    together fire on h, u and v. Gates at k=2..8: 3, 10, 12, 42, 102,
+    162, 282 against 0; 5, 15, 17, 57, 119, 219, 401 against 1,
+    T1(k) = T1(k-2) + S(k-2) + 2 from k=4 (T1(3) = S(2) + T1(2); at k=2
     the extra fire gives 3 + 1 + 1).
     """
     k = len(controls)
@@ -144,12 +151,21 @@ def ckswap_fred_with_ancilla(
     fire = fred(ancilla_line, targets[0], targets[1])
     if k == 0:
         return (fire,)
+    if k >= 4 and ancilla_value == 1:
+        head, (u, v) = controls[:-2], controls[-2:]
+        fold = fred(u, v, ancilla_line)
+        return (
+            *ckswap_fred_with_ancilla(head, targets, ancilla_line, 1),
+            fold,
+            *_merged_ckswap(head, targets, (u, ancilla_line)),
+            fold,
+        )
     park = fred(controls[0], controls[1], ancilla_line)
     if k == 2:
         # A 1-valued park fires on not (c1 and not c2); one more fire
         # leaves c1 and not c2, as the unparked k >= 3 form fires.
         gates = (park, fire, park) + (fire,) * ancilla_value
-    elif k >= 4 and ancilla_value == 0:
+    elif k >= 4:
         pair = (controls[-1], controls[1])
         inner = (ancilla_line,) + controls[2:-1]
         gates = (park, *_merged_ckswap(inner, targets, pair), park)

@@ -136,7 +136,7 @@ def test_expand_fred_unconditional_swap_needs_one_line():
 @pytest.mark.parametrize("value", [0, 1])
 def test_expand_fred_multi_control_against_either_ancilla(value: int):
     role = LineRole.ANCILLA0 if value == 0 else LineRole.ANCILLA1
-    sizes = {0: (3, 10, 12, 42), 1: (5, 15, 55, 155)}[value]
+    sizes = {0: (3, 10, 12, 42), 1: (5, 15, 17, 57)}[value]
     for k, size in zip(range(2, 6), sizes):
         width = k + 3
         roles = (LineRole.DATA,) * (k + 2) + (role,)

@@ -164,6 +164,29 @@ def test_relabelled_ckswap_is_the_direct_lowering(k: int, value: int):
         assert relabelled_ckswap((9,), (4, 2), None, value) == (fred(9, 4, 2),)
 
 
+ONE_ANCILLA_SIZES = {0: 1, 1: 1, 2: 5, 3: 15, 4: 17, 5: 57, 6: 119, 7: 219, 8: 401}
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_ckswap_against_a_one_ancilla_is_exact(k: int):
+    # Scattered, non-ascending lines with two idle lines beside them; every
+    # state with the ancilla at 1 must see exactly the C^kSWAP, ancilla
+    # and idle lines restored.
+    width = k + 5
+    lines = random.Random(300 + k).sample(range(1, width + 1), k + 3)
+    controls, targets, ancilla = tuple(lines[:k]), tuple(lines[k:k + 2]), lines[-1]
+    gates = ckswap_fred_with_ancilla(controls, targets, ancilla, 1)
+    assert len(gates) == ONE_ANCILLA_SIZES[k]
+    if k >= 4:
+        assert len(gates) == ONE_ANCILLA_SIZES[k - 2] + merged_size(k - 2) + 2
+    assert all(g.kind is GateKind.FRED for g in gates)
+    got = circuit_to_permutation(Circuit(width, gates))
+    want = ckswap_permutation(width, controls, *targets)
+    for s in range(1 << width):
+        if bit_of(s, ancilla, width):
+            assert got(s) == want(s)
+
+
 def test_synth_ckswap_bounds():
     with pytest.raises(RangeError):
         synth_ckswap(0)
@@ -209,7 +232,8 @@ def test_conservative_synthesis_verifies():
     [
         (4, [16, 18, 18, 18, 20]),
         (5, [84, 90, 92, 93, 95]),
-        (6, [416, 461, 477, 515, 522]),
+        (6, [340, 347, 363, 363, 370]),
+        (7, [1248, 1259, 1339, 1342, 1421]),
     ],
 )
 def test_conservative_synthesis_frozen_counts(n: int, counts: list[int]):

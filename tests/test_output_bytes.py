@@ -26,7 +26,7 @@ ROUTES = {
 DIGESTS = {
     "general": "35e9fbba7f2b90b9f71e4bd3783e40132033ce4d009006333b1781df4b4addf6",
     "even": "9357fdbd0b725128f3f684d15128b0d33b39cbc260ab775d936e1c93500fbb06",
-    "conservative": "176407389356c72660d534f3f53875d0ed5c970b8b347585572ebff7f874bd6b",
+    "conservative": "a4edc3635e189dc30465da203604387b7d9178242782c6d3f70503e30ef71461",
 }
 
 

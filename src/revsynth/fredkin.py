@@ -163,7 +163,7 @@ def ckswap_fred_with_ancilla(
     park = fred(controls[0], controls[1], ancilla_line)
     if k == 2:
         # A 1-valued park fires on not (c1 and not c2); one more fire
-        # leaves c1 and not c2, as the unparked k >= 3 form fires.
+        # leaves c1 and not c2, as the unparked k=3 form fires.
         gates = (park, fire, park) + (fire,) * ancilla_value
     elif k >= 4:
         pair = (controls[-1], controls[1])

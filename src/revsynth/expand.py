@@ -15,10 +15,17 @@ Helper lines are chosen deterministically: among lines a gate does not
 touch, prefer data, then borrowed, then ancilla, and within a role class
 take the highest index first. That rule keeps full-width gates on the
 designated extra line while narrower gates borrow nearby data lines.
+``free_lines`` defines the rule; ``expand_macros`` sorts the lines into
+that order once per call and only filters out each gate's own lines. It
+also looks up ``toffoli.synth_cknot`` and ``fredkin.relabelled_ckswap``
+once per call, through their modules, so a wrapper installed on either
+module is the one that runs. The expanded ``Circuit`` validates each
+distinct lowered gate once.
 """
 
 from __future__ import annotations
 
+from . import fredkin, toffoli
 from .circuit import CKNOT, CKSWAP, FRED, VTOF, Circuit, GateInstance, LineRole
 from .errors import InsufficientLinesError, UnexpandableMacroError
 
@@ -30,58 +37,80 @@ _ROLE_PREFERENCE = {
 }
 
 
+def _preference_order(circuit: Circuit) -> list[int]:
+    """Every line of ``circuit``, data before borrowed before ancilla,
+    highest index first within a role."""
+    return sorted(
+        range(1, circuit.width + 1),
+        key=lambda l: (_ROLE_PREFERENCE[circuit.roles[l - 1]], -l),
+    )
+
+
+def _unused(order: list[int], lines: tuple[int, ...]) -> list[int]:
+    """The lines of ``order`` that are not in ``lines``, in order."""
+    return [l for l in order if l not in lines]
+
+
 def free_lines(circuit: Circuit, gate: GateInstance) -> list[int]:
     """Lines not touched by ``gate``, in helper-preference order (data
     before borrowed before ancilla; highest index first within a role)."""
-    used = set(gate.lines)
-    candidates = [l for l in range(1, circuit.width + 1) if l not in used]
-    candidates.sort(key=lambda l: (_ROLE_PREFERENCE[circuit.roles[l - 1]], -l))
-    return candidates
+    return _unused(_preference_order(circuit), gate.lines)
 
 
-def _expand_vtof(circuit: Circuit, gate: GateInstance) -> tuple[GateInstance, ...]:
-    if gate.kind is VTOF:
-        return (gate,)
-    if gate.kind is not CKNOT:
-        raise UnexpandableMacroError(
-            f"cannot expand {gate.kind.value} over the VTOF alphabet"
-        )
-    from .toffoli import synth_cknot
+def _vtof_expander(circuit: Circuit):
+    order = _preference_order(circuit)
+    synth_cknot = toffoli.synth_cknot
 
-    pool = free_lines(circuit, gate)
-    return synth_cknot(gate.k, gate.lines + tuple(pool))
+    def expand(gate: GateInstance) -> tuple[GateInstance, ...]:
+        kind, lines = gate
+        if kind is VTOF:
+            return (gate,)
+        if kind is not CKNOT:
+            raise UnexpandableMacroError(
+                f"cannot expand {kind.value} over the VTOF alphabet"
+            )
+        return synth_cknot(gate.k, lines + tuple(_unused(order, lines)))
+
+    return expand
 
 
-def _expand_fred(circuit: Circuit, gate: GateInstance) -> tuple[GateInstance, ...]:
-    if gate.kind is FRED:
-        return (gate,)
-    if gate.kind is not CKSWAP:
-        raise UnexpandableMacroError(
-            f"cannot expand {gate.kind.value} over the FRED alphabet"
-        )
-    from .fredkin import relabelled_ckswap
+def _fred_expander(circuit: Circuit):
+    order = _preference_order(circuit)
+    roles = circuit.roles
+    anc0 = [l for l in order if roles[l - 1] is LineRole.ANCILLA0]
+    anc1 = [l for l in order if roles[l - 1] is LineRole.ANCILLA1]
+    relabelled_ckswap = fredkin.relabelled_ckswap
 
-    k = gate.k
-    pool = free_lines(circuit, gate)
-    anc0 = [l for l in pool if circuit.roles[l - 1] is LineRole.ANCILLA0]
-    anc1 = [l for l in pool if circuit.roles[l - 1] is LineRole.ANCILLA1]
-    # An unconditional swap only moves unbalanced states, which no FRED
-    # netlist can do on its own; it needs a known-1 line as control.
-    if anc0 and k != 0:
-        ancilla, value = anc0[0], 0
-    elif anc1:
-        ancilla, value = anc1[0], 1
-    elif k == 1:
-        ancilla, value = None, 0  # a bare FRED, no ancilla read
-    elif k == 0:
-        raise InsufficientLinesError(
-            "unconditional SWAP needs a free ancilla line holding 1"
-        )
-    else:
-        raise InsufficientLinesError(
-            f"CKSWAP with {k} controls needs a free ancilla line to expand"
-        )
-    return relabelled_ckswap(gate.controls, gate.targets, ancilla, value)
+    def expand(gate: GateInstance) -> tuple[GateInstance, ...]:
+        kind, lines = gate
+        if kind is FRED:
+            return (gate,)
+        if kind is not CKSWAP:
+            raise UnexpandableMacroError(
+                f"cannot expand {kind.value} over the FRED alphabet"
+            )
+        k = gate.k
+        free0 = _unused(anc0, lines)
+        free1 = _unused(anc1, lines)
+        # An unconditional swap only moves unbalanced states, which no FRED
+        # netlist can do on its own; it needs a known-1 line as control.
+        if free0 and k != 0:
+            ancilla, value = free0[0], 0
+        elif free1:
+            ancilla, value = free1[0], 1
+        elif k == 1:
+            ancilla, value = None, 0  # a bare FRED, no ancilla read
+        elif k == 0:
+            raise InsufficientLinesError(
+                "unconditional SWAP needs a free ancilla line holding 1"
+            )
+        else:
+            raise InsufficientLinesError(
+                f"CKSWAP with {k} controls needs a free ancilla line to expand"
+            )
+        return relabelled_ckswap(gate.controls, gate.targets, ancilla, value)
+
+    return expand
 
 
 def expand_macros(circuit: Circuit, alphabet: str) -> Circuit:
@@ -94,12 +123,13 @@ def expand_macros(circuit: Circuit, alphabet: str) -> Circuit:
 
     Each distinct macro gate is lowered once per call and its block reused
     for every repeat: the lowering depends only on the gate and on the
-    circuit's width and roles, which are fixed within the call.
+    circuit's width and roles, which are fixed within the call, so the
+    helper order is computed once per call too.
     """
     if alphabet == "VTOF":
-        expander = _expand_vtof
+        expander = _vtof_expander(circuit)
     elif alphabet == "FRED":
-        expander = _expand_fred
+        expander = _fred_expander(circuit)
     else:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     lowered: dict[GateInstance, tuple[GateInstance, ...]] = {}
@@ -107,6 +137,6 @@ def expand_macros(circuit: Circuit, alphabet: str) -> Circuit:
     for gate in circuit.gates:
         block = lowered.get(gate)
         if block is None:
-            block = lowered[gate] = expander(circuit, gate)
+            block = lowered[gate] = expander(gate)
         gates.extend(block)
     return Circuit(circuit.width, tuple(gates), roles=circuit.roles)

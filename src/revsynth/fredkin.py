@@ -19,6 +19,11 @@ k=3..8: the size grows about as k^2, where peeling one control at a time
 grew 4x per control. Against a 1 ancilla the last two controls fold into
 the pair: 15, 17, 57, 119, 219, 401 gates at k=3..8,
 T1(k) = T1(k-2) + S(k-2) + 2 from k=4.
+
+The stage plan and the relabelled lowerings build their gates raw, with
+one interned object per FRED line triple; each distinct gate is validated
+once, by the ``Circuit`` it lands in (the macro circuit, then the
+expanded one).
 """
 
 from __future__ import annotations
@@ -26,15 +31,14 @@ from __future__ import annotations
 import functools
 
 from .circuit import (
+    CKSWAP,
     FRED,
     Circuit,
     GateInstance,
     LineRole,
     apply_gates_bitsliced,
-    ckswap,
     fred,
     initial_line_masks,
-    masks_to_mapping,
 )
 from .errors import DepthLimitError, RangeError, WidthOutOfRangeError
 from .permutation import Permutation, transpositions
@@ -43,6 +47,16 @@ from .weights import weight_decompose
 CKSWAP_MAX_CONTROLS = 8
 CONSERVATIVE_MIN_WIDTH = 3
 CONSERVATIVE_MAX_WIDTH = 12
+
+
+@functools.cache
+def _interned_fred(control: int, t1: int, t2: int) -> GateInstance:
+    """The one shared, unvalidated FRED on these lines. Callers pass the
+    lines of a gate that a ``Circuit`` validates (or has validated), so
+    keys are distinct lines within the width cap: at most 16 * 15 * 14.
+    Equal gates are then one object, which dictionaries keyed by gate
+    match by identity."""
+    return GateInstance(FRED, (control, t1, t2))
 
 
 def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
@@ -56,17 +70,19 @@ def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
     with ``b`` and swaps S[0] with M[0]; the walk then runs back. At
     Hamming distance 2d that is 2d-1 gates, one of them a CKSWAP. Classes
     below weight k are never touched; heavier classes may move (the stage
-    plan corrects for that).
+    plan corrects for that). The gates are built raw, FREDs interned: the
+    macro ``Circuit`` that ``synth_conservative`` builds validates each
+    distinct one once.
     """
     lines = range(1, n + 1)
     s = [l for l in lines if (a & ~b) >> (n - l) & 1]
     m = [l for l in lines if (b & ~a) >> (n - l) & 1]
-    walk = tuple(fred(s[0], s[i], m[i]) for i in range(1, len(s)))
+    walk = tuple(_interned_fred(s[0], s[i], m[i]) for i in range(1, len(s)))
     shared = a & b  # the walked image's one-lines in common with b
     for l in m[1:]:
         shared |= 1 << (n - l)
     controls = tuple(l for l in lines if shared >> (n - l) & 1)
-    centre = ckswap(controls, min(s[0], m[0]), max(s[0], m[0]))
+    centre = GateInstance(CKSWAP, (*controls, min(s[0], m[0]), max(s[0], m[0])))
     return walk + (centre,) + walk[::-1]
 
 
@@ -205,14 +221,15 @@ def relabelled_ckswap(
 
     The lowering treats its lines as labels only, so the gates for any
     line choice are the canonical ones with each line renamed. Each call
-    builds only the block's few distinct gates. k=1 never reads the
-    ancilla, so ``ancilla_line`` may be ``None`` there.
+    looks up only the block's few distinct gates, as interned FREDs (one
+    object per line triple, bounded by the width cap), and validates
+    none: the lines come from a gate of a validated macro ``Circuit`` plus
+    a line it does not touch. k=1 never reads the ancilla, so
+    ``ancilla_line`` may be ``None`` there.
     """
     triples, order = _ckswap_shape(len(controls), ancilla_value)
     lines = (*controls, *targets, ancilla_line)
-    distinct = [
-        GateInstance(FRED, (lines[c], lines[a], lines[b])) for c, a, b in triples
-    ]
+    distinct = [_interned_fred(lines[c], lines[a], lines[b]) for c, a, b in triples]
     return tuple(map(distinct.__getitem__, order))
 
 
@@ -252,19 +269,26 @@ def conservative_stage_plan(
     stages (their gates spill into higher classes), and the stage moves it
     on to ``p(s)``. The correction's transpositions come from the cycle
     walker over state integers, so each stage's pairs are in ascending
-    numeric order. ``image`` is read from bitsliced line masks that every
-    stage's gates advance in one pass. Because stage-k gates never touch
-    classes below k, each stage locks in all classes up to its own weight.
+    numeric order. Bitsliced line masks, which every stage's gates advance
+    in one pass, hold where each state is; a stage reads the images of its
+    own class only, bit s of each line's mask, so each state is read back
+    once per plan rather than once per stage. Because stage-k gates never
+    touch classes below k, each stage locks in all classes up to its own
+    weight.
     """
     n = p.width
+    mapping = p.mapping
     classes = weight_decompose(p)  # raises NotConservativeError
     masks = initial_line_masks(n)
     plan: list[tuple[int, tuple[GateInstance, ...]]] = []
     for k in range(1, n):
-        image = masks_to_mapping(masks, n)
+        line_masks = masks[1:]
         correction = list(range(1 << n))
         for s in classes[k]:
-            correction[image[s]] = p(s)
+            image = 0
+            for mask in line_masks:
+                image = image << 1 | mask >> s & 1
+            correction[image] = mapping[s]
         stage: list[GateInstance] = []
         for a, b in transpositions(correction):
             stage.extend(_transposition_gates(a, b, n))

@@ -22,6 +22,8 @@ from revsynth.circuit import (
 )
 from revsynth.errors import InsufficientLinesError, UnexpandableMacroError
 from revsynth.expand import expand_macros, free_lines
+from revsynth.fredkin import ckswap_fred_with_ancilla
+from revsynth.toffoli import synth_cknot
 
 
 def all_data(width: int, *gates):
@@ -160,3 +162,64 @@ def test_expand_fred_multi_control_needs_an_ancilla():
 def test_expand_unknown_alphabet():
     with pytest.raises(ValueError):
         expand_macros(all_data(2, cnot(1, 2)), "TOFF")
+
+
+def _reference_lowering(circuit: Circuit, gate, alphabet: str):
+    """One gate lowered straight from ``free_lines``, with no caching and
+    no per-call precomputation."""
+    if gate.kind in (GateKind.VTOF, GateKind.FRED):
+        return (gate,)
+    pool = free_lines(circuit, gate)
+    if alphabet == "VTOF":
+        return synth_cknot(gate.k, gate.lines + tuple(pool))
+    roles = circuit.roles
+    anc0 = [l for l in pool if roles[l - 1] is LineRole.ANCILLA0]
+    anc1 = [l for l in pool if roles[l - 1] is LineRole.ANCILLA1]
+    if anc0 and gate.k != 0:
+        ancilla, value = anc0[0], 0
+    elif anc1:
+        ancilla, value = anc1[0], 1
+    elif gate.k == 1:
+        ancilla, value = None, 0
+    else:
+        raise InsufficientLinesError("no ancilla for this CKSWAP")
+    return ckswap_fred_with_ancilla(gate.controls, gate.targets, ancilla, value)
+
+
+@pytest.mark.parametrize("alphabet", ["VTOF", "FRED"])
+def test_expand_matches_per_gate_helper_choice(alphabet: str):
+    """``expand_macros`` picks helpers once per call; every gate must still
+    get the lowering that ``free_lines`` defines for it, on circuits that
+    mix every role and whose gates touch ancilla lines too."""
+    rng = random.Random(29 if alphabet == "VTOF" else 31)
+    primitive = fred if alphabet == "FRED" else vtof
+    roles_pool = list(LineRole)
+    for _ in range(40):
+        width = rng.randint(4, 8)
+        roles = tuple(rng.choice(roles_pool) for _ in range(width))
+        gates = []
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.2:
+                gates.append(primitive(*rng.sample(range(1, width + 1), 3)))
+                continue
+            targets = 1 if alphabet == "VTOF" else 2
+            k = rng.randint(0, width - targets)
+            lines = rng.sample(range(1, width + 1), k + targets)
+            if alphabet == "VTOF":
+                gate = cknot(lines[:k], lines[k])
+            else:
+                gate = ckswap(lines[:k], lines[k], lines[k + 1])
+            single = Circuit(width, (gate,), roles)
+            try:
+                _reference_lowering(single, gate, alphabet)
+            except InsufficientLinesError:
+                with pytest.raises(InsufficientLinesError):
+                    expand_macros(single, alphabet)
+                continue
+            gates.append(gate)
+        # Repeats exercise the per-call cache of lowered blocks.
+        gates += rng.sample(gates, min(3, len(gates)))
+        macro = Circuit(width, tuple(gates), roles)
+        want = [g for gate in macro.gates
+                for g in _reference_lowering(macro, gate, alphabet)]
+        assert list(expand_macros(macro, alphabet).gates) == want

@@ -1,6 +1,6 @@
 """Frozen netlist bytes: seeded targets on every route hash to fixed
 digests. A change that alters any emitted byte must update a digest here
-and say why; a pure speed-up must leave all three untouched."""
+and say why; a pure speed-up must leave every digest untouched."""
 
 from __future__ import annotations
 
@@ -41,3 +41,19 @@ def test_seeded_netlists_are_frozen(route: str):
             assert verify_realizes(c, p).passed, (n, seed)
             digest.update(write_netlist(c).encode())
     assert digest.hexdigest() == DIGESTS[route]
+
+
+# The benchmark's conservative width and one wider: the first widths whose
+# stage plans reach C^6SWAP and C^7SWAP centres.
+WIDE_CONSERVATIVE = ((8, 0), (8, 1), (9, 0))
+WIDE_CONSERVATIVE_DIGEST = (
+    "5f7273a5499b725359cf3ca5a6d7ff249bab90b0fe80334d074c5cb248dc1c88"
+)
+
+
+def test_wide_conservative_netlists_are_frozen():
+    digest = hashlib.sha256()
+    for n, seed in WIDE_CONSERVATIVE:
+        p = sample_permutation(n, "conservative", seed)
+        digest.update(write_netlist(synth_conservative(p)).encode())
+    assert digest.hexdigest() == WIDE_CONSERVATIVE_DIGEST

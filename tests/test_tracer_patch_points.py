@@ -14,6 +14,7 @@ from revsynth import (
     synth_even,
     synth_general,
     verify_realizes,
+    write_netlist,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,6 +40,15 @@ def test_tracer_installs_and_restores(monkeypatch):
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
     from tracer import Tracer
 
+    routes = (
+        (synth_general, "any", 3),
+        (synth_even, "even", 4),
+        (synth_conservative, "conservative", 4),
+    )
+    targets = [sample_permutation(w, kind, seed=1) for _, kind, w in routes]
+    untraced = [
+        write_netlist(synth(p)) for (synth, _, _), p in zip(routes, targets)
+    ]
     saved = [(owner, dict(vars(owner))) for owner in OWNERS]
     decompose = revsynth.generators.decompose_generators
     tracer = Tracer()
@@ -47,14 +57,12 @@ def test_tracer_installs_and_restores(monkeypatch):
         # No route calls these bindings, but the tracer requires them.
         assert revsynth.toffoli.decompose_generators is not decompose
         assert revsynth.even.decompose_generators is not decompose
-        routes = (
-            (synth_general, "any", 3),
-            (synth_even, "even", 4),
-            (synth_conservative, "conservative", 4),
-        )
-        for synth, kind, width in routes:
-            p = sample_permutation(width, kind, seed=1)
-            assert verify_realizes(synth(p), p).passed
+        for (synth, _, _), p, text in zip(routes, targets, untraced):
+            c = synth(p)
+            assert verify_realizes(c, p).passed
+            # The traced run goes through the wrappers and the warm caches;
+            # its bytes must not differ.
+            assert revsynth.write_netlist(c) == text
     finally:
         tracer.restore()
     for owner, attrs in saved:
@@ -63,3 +71,5 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert tracer.counts["toffoli.cknot_calls"] > 0
     assert any(tracer.counts[f"even.pairs.{pair}"] for pair in ("M3", "M4"))
     assert tracer.counts["fredkin.macro_gates"] > 0
+    assert tracer.counts["expand.macro_gates"] > 0
+    assert tracer.counts["netlist.bytes"] == sum(map(len, untraced))

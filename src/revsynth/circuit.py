@@ -14,14 +14,17 @@ Two macro gates name the multi-controlled versions: ``CKNOT`` (k controls,
 one target; ``k=0`` is NOT, ``k=1`` is CNOT) and ``CKSWAP`` (k controls, two
 targets; ``k=0`` is SWAP, ``k=1`` has FRED semantics).
 
-Simulation is always exhaustive over all ``2**width`` states. The fast path
-is bitsliced: one Python bignum per line holds that line's value across every
-state (bit ``s`` of the mask for line ``l`` is line ``l``'s value in state
-``s``), so each gate costs a handful of bignum operations regardless of
-width. The kernel unpacks each gate as ``(kind, lines)`` and compares the
-kind against module-level aliases of the enum members, so no per-gate
-attribute or enum-class lookup runs in the loop. Masks are read back with
-one binary-string row per line, transposed into per-state integers.
+Simulation is always exhaustive over all valid states: all ``2**width``
+states for ``circuit_to_permutation``, and for verification every state
+with each ancilla line at its declared constant. The fast path is
+bitsliced: one Python bignum per line holds that line's value across every
+simulated state (bit ``s`` of the mask for line ``l`` is line ``l``'s value
+in state ``s``; a constant line is 0 or all ones), so each gate costs a
+handful of bignum operations regardless of width. The kernel unpacks each
+gate as ``(kind, lines)`` and compares the kind against module-level
+aliases of the enum members, so no per-gate attribute or enum-class lookup
+runs in the loop. Masks are read back with one binary-string row per line,
+transposed into per-state integers.
 
 A ``Circuit`` validates each distinct gate once and records whether all of
 them are primitive, so ``primitive_gate_count`` and ``is_primitive`` are
@@ -276,10 +279,14 @@ def initial_line_masks(width: int) -> list[int]:
 
 
 def apply_gates_bitsliced(
-    gates: Iterable[GateInstance], masks: list[int], width: int
+    gates: Iterable[GateInstance], masks: list[int], state_bits: int
 ) -> list[int]:
-    """Apply a gate list to bitsliced line masks in place (and return them)."""
-    all_ones = (1 << (1 << width)) - 1
+    """Apply a gate list to bitsliced line masks in place (and return them).
+
+    The masks hold ``2**state_bits`` states, which need not be all states
+    of the lines: a line held constant over them is a mask of 0 or all ones.
+    """
+    all_ones = (1 << (1 << state_bits)) - 1
     for kind, lines in gates:
         if kind is VTOF:
             c, i, t = lines

@@ -59,6 +59,16 @@ def _interned_fred(control: int, t1: int, t2: int) -> GateInstance:
     return GateInstance(FRED, (control, t1, t2))
 
 
+def _set_lines(x: int, n: int) -> list[int]:
+    """The lines of the set bits of ``x``, ascending (line l is bit n - l)."""
+    lines = []
+    while x:
+        top = x.bit_length()
+        lines.append(n + 1 - top)
+        x ^= 1 << (top - 1)
+    return lines
+
+
 def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
     """Macro fragment for the transposition (a b) of the equal-weight,
     distinct ``n``-bit states ``a`` and ``b`` (line l carries bit n - l).
@@ -67,21 +77,18 @@ def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
     is 0 and ``b`` is 1, both ascending. FRED(S[0], S[i], M[i]) for i >= 1
     moves ``a`` one step and never moves ``b``, which is 0 on S[0]. The
     centre C^(k-1)SWAP controls on the one-lines the walked ``a`` shares
-    with ``b`` and swaps S[0] with M[0]; the walk then runs back. At
+    with ``b`` (those of ``b`` but M[0], as the two differ only on S[0]
+    and M[0]) and swaps S[0] with M[0]; the walk then runs back. At
     Hamming distance 2d that is 2d-1 gates, one of them a CKSWAP. Classes
     below weight k are never touched; heavier classes may move (the stage
     plan corrects for that). The gates are built raw, FREDs interned: the
     macro ``Circuit`` that ``synth_conservative`` builds validates each
     distinct one once.
     """
-    lines = range(1, n + 1)
-    s = [l for l in lines if (a & ~b) >> (n - l) & 1]
-    m = [l for l in lines if (b & ~a) >> (n - l) & 1]
+    s = _set_lines(a & ~b, n)
+    m = _set_lines(b & ~a, n)
     walk = tuple(_interned_fred(s[0], s[i], m[i]) for i in range(1, len(s)))
-    shared = a & b  # the walked image's one-lines in common with b
-    for l in m[1:]:
-        shared |= 1 << (n - l)
-    controls = tuple(l for l in lines if shared >> (n - l) & 1)
+    controls = _set_lines(b ^ 1 << (n - m[0]), n)
     centre = GateInstance(CKSWAP, (*controls, min(s[0], m[0]), max(s[0], m[0])))
     return walk + (centre,) + walk[::-1]
 

@@ -50,14 +50,13 @@ from .errors import (
     InsufficientLinesError,
     NotConservativeError,
     OddPermutationError,
-    OddTokenCountError,
     RangeError,
     RevsynthError,
     UnexpandableMacroError,
     WidthMismatchError,
     WidthOutOfRangeError,
 )
-from .even import TokenPair, synth_even, synth_fused, synth_pair
+from .even import synth_even
 from .expand import expand_macros
 from .fredkin import synth_ckswap, synth_conservative
 from .generators import TransformToken, decompose_generators
@@ -94,13 +93,11 @@ __all__ = [
     "MIN_WIDTH",
     "NotConservativeError",
     "OddPermutationError",
-    "OddTokenCountError",
     "ParityVector",
     "Permutation",
     "RangeError",
     "RevsynthError",
     "SynthesisReport",
-    "TokenPair",
     "TransformToken",
     "UnexpandableMacroError",
     "WidthMismatchError",
@@ -133,10 +130,8 @@ __all__ = [
     "synth_cnot",
     "synth_conservative",
     "synth_even",
-    "synth_fused",
     "synth_general",
     "synth_not",
-    "synth_pair",
     "verify_realizes",
     "vtof",
     "weight_decompose",

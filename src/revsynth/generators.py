@@ -9,20 +9,16 @@ permutations: ``T1'`` swaps the two largest states ``2**n - 2`` and
 swaps, then for each adjacent swap a shift run, one swap and the shift run
 back. Every adjacent swap costs exactly one ``T1'`` and ``2**n`` shifts,
 so an even permutation always yields even counts of both tokens.
-``decompose_generators`` expands those runs into the literal token list
-and stays the reference.
-
-``reduce_tokens`` is the pass the even route compiles from: it folds the
-runs, reducing each shift run mod ``2**n`` and cancelling swaps that meet,
-so memory grows with the runs kept, not the tokens stood for. Both
-changes remove an even number of tokens of one kind, so the parity of each
-count survives.
+``decompose_generators`` expands those runs into the literal token list.
+No synthesis route compiles from the tokens; they carry the paper's
+generator argument for result (ii), which ``synth_even`` realizes by
+another construction.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .permutation import Permutation
 
@@ -86,25 +82,4 @@ def decompose_generators(p: Permutation) -> list[TransformToken]:
     out: list[TransformToken] = []
     for tok, count in generator_runs(p):
         out += [tok] * count
-    return out
-
-
-def reduce_tokens(runs: Iterable[Run], width: int) -> list[Run]:
-    """Fold ``(token, count)`` runs into fewer runs of the same
-    composition.
-
-    A stack pass: a run joins the run of the same token on top, and the
-    count is reduced modulo the token's order (``2**width`` for a shift,
-    2 for a swap); a run reduced to 0 is dropped. Cancellation cascades,
-    because whatever a dropped run exposed meets the next run. In the
-    result no count is 0 or ``>= 2**width``, swaps have count 1, and no
-    two neighbouring runs share a token.
-    """
-    out: list[Run] = []
-    for tok, count in runs:
-        if out and out[-1][0] is tok:
-            count += out.pop()[1]
-        count %= (1 << width) if tok is TransformToken.T2P else 2
-        if count:
-            out.append((tok, count))
     return out

@@ -149,6 +149,46 @@ def transpositions(mapping: Sequence[int]) -> list[tuple[int, int]]:
     return [(cyc[0], c) for cyc in cycles(mapping) for c in cyc[1:]]
 
 
+Pair = tuple[tuple[int, int], tuple[int, int]]
+
+
+def disjoint_pairs(mapping: Sequence[int]) -> list[Pair]:
+    """Pairs of disjoint transpositions ``((a, b), (c, d))`` that, applied
+    in list order (first pair first), reproduce the even index permutation
+    ``mapping`` of at least 5 points.
+
+    Each cycle ``(x_0 ... x_{m-1})`` is the involution R1, which maps
+    ``x_i`` to ``x_{-i}``, followed by the involution R2, which maps
+    ``x_j`` to ``x_{1-j}`` (indices mod m). The transpositions inside R1
+    are disjoint and commute, and so are those inside R2, so each list is
+    paired in order. When both counts are odd, the last transposition t1
+    of R1 meets the first t2 of R2: disjoint, they are one more pair;
+    sharing one state, a doubled transposition ``(v w)`` on two other
+    states splits them into ``(t1, (v w))`` and ``((v w), t2)``.
+    """
+    r1: list[tuple[int, int]] = []
+    r2: list[tuple[int, int]] = []
+    for cyc in cycles(mapping):
+        m = len(cyc)
+        r1 += [(cyc[i], cyc[m - i]) for i in range(1, (m + 1) // 2)]
+        r2 += [(cyc[j], cyc[(1 - j) % m]) for j in range(1, m // 2 + 1)]
+    if (len(r1) + len(r2)) % 2:
+        raise ValueError("an odd permutation has no disjoint-pair form")
+    middle: list[Pair] = []
+    if len(r1) % 2:
+        # t1 and t2 are never equal: within one cycle a transposition of
+        # R1 has an index sum of 0 mod m, and one of R2 a sum of 1.
+        t1, t2 = r1.pop(), r2.pop(0)
+        if set(t1) & set(t2):
+            v, w = [s for s in range(5) if s not in t1 + t2][:2]
+            middle = [(t1, (v, w)), ((v, w), t2)]
+        else:
+            middle = [(t1, t2)]
+    return (
+        list(zip(r1[::2], r1[1::2])) + middle + list(zip(r2[::2], r2[1::2]))
+    )
+
+
 def sample_permutation(width: int, kind: str = "any", seed: int = 0) -> Permutation:
     """Draw a reproducible random permutation.
 

@@ -1,5 +1,5 @@
 """Generator-token decomposition: run semantics, adjacent swaps, parity
-bookkeeping, run reduction."""
+bookkeeping."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from revsynth.generators import (
     adjacent_swap_tokens,
     decompose_generators,
     generator_runs,
-    reduce_tokens,
     transposition_tokens,
 )
 from revsynth.permutation import Permutation, sample_permutation
@@ -144,45 +143,3 @@ def test_even_permutations_give_even_token_counts():
         toks = decompose_generators(p)
         assert toks.count(T1P) % 2 == 0
         assert toks.count(T2P) % 2 == 0
-
-
-def test_reduce_tokens_frozen_example():
-    # Width 2: four shifts make a full cycle and vanish, which brings the
-    # two swaps together; they cancel, and the shift runs around them merge.
-    runs = [(T2P, 2), (T1P, 1), (T2P, 2), (T2P, 2), (T1P, 1), (T2P, 1)]
-    assert reduce_tokens(runs, 2) == [(T2P, 3)]
-    assert reduce_tokens([(T2P, 9)], 2) == [(T2P, 1)]
-    assert reduce_tokens([(T2P, 5), (T2P, 4)], 2) == [(T2P, 1)]
-    assert reduce_tokens([(T1P, 1), (T2P, 2), (T1P, 1)], 1) == []
-    assert reduce_tokens([], 3) == []
-
-
-# Odd targets too, so odd token counts stay covered; the even route's own
-# targets up to a wider width.
-_REDUCE_CASES = [("any", w) for w in (3, 4, 5, 6)] + [
-    ("even", w) for w in (3, 4, 5, 6, 7)
-]
-
-
-@pytest.mark.parametrize(
-    "kind, width",
-    _REDUCE_CASES,
-    ids=[f"primed-{k}-T1'-T2'-{w}" for k, w in _REDUCE_CASES],
-)
-def test_reduce_tokens_keeps_composition_and_parity(width, kind):
-    size = 1 << width
-    p = sample_permutation(width, kind, seed=1000 * width + size)
-    literal = list(generator_runs(p))
-    runs = reduce_tokens(literal, width)
-    assert compose_runs(literal, width).mapping == p.mapping
-    assert compose_runs(runs, width).mapping == p.mapping
-    for tok in TransformToken:
-        assert _count(runs, tok) % 2 == _count(literal, tok) % 2
-        if kind == "even":
-            assert _count(runs, tok) % 2 == 0
-    for tok, count in runs:
-        assert 0 < count < size
-        if tok is T1P:
-            assert count == 1
-    assert all(a[0] is not b[0] for a, b in zip(runs, runs[1:]))
-    assert sum(c for _, c in runs) < sum(c for _, c in literal)

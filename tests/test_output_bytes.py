@@ -25,7 +25,7 @@ ROUTES = {
 
 DIGESTS = {
     "general": "35e9fbba7f2b90b9f71e4bd3783e40132033ce4d009006333b1781df4b4addf6",
-    "even": "9357fdbd0b725128f3f684d15128b0d33b39cbc260ab775d936e1c93500fbb06",
+    "even": "6fa4331152ae2a587c9a4d06746305660cbd3e52d4bf440180f7879ba2f935f1",
     "conservative": "a4edc3635e189dc30465da203604387b7d9178242782c6d3f70503e30ef71461",
 }
 

@@ -69,7 +69,6 @@ def test_tracer_installs_and_restores(monkeypatch):
         for name, value in attrs.items():
             assert vars(owner).get(name) is value, (owner, name)
     assert tracer.counts["toffoli.cknot_calls"] > 0
-    assert any(tracer.counts[f"even.pairs.{pair}"] for pair in ("M3", "M4"))
     assert tracer.counts["fredkin.macro_gates"] > 0
     assert tracer.counts["expand.macro_gates"] > 0
     assert tracer.counts["netlist.bytes"] == sum(map(len, untraced))

@@ -50,13 +50,14 @@ from .errors import (
     InsufficientLinesError,
     NotConservativeError,
     OddPermutationError,
+    OddTokenCountError,
     RangeError,
     RevsynthError,
     UnexpandableMacroError,
     WidthMismatchError,
     WidthOutOfRangeError,
 )
-from .even import synth_even
+from .even import TokenPair, synth_even, synth_fused, synth_pair
 from .expand import expand_macros
 from .fredkin import synth_ckswap, synth_conservative
 from .generators import TransformToken, decompose_generators
@@ -93,11 +94,13 @@ __all__ = [
     "MIN_WIDTH",
     "NotConservativeError",
     "OddPermutationError",
+    "OddTokenCountError",
     "ParityVector",
     "Permutation",
     "RangeError",
     "RevsynthError",
     "SynthesisReport",
+    "TokenPair",
     "TransformToken",
     "UnexpandableMacroError",
     "WidthMismatchError",
@@ -130,8 +133,10 @@ __all__ = [
     "synth_cnot",
     "synth_conservative",
     "synth_even",
+    "synth_fused",
     "synth_general",
     "synth_not",
+    "synth_pair",
     "verify_realizes",
     "vtof",
     "weight_decompose",

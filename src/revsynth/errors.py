@@ -30,6 +30,11 @@ class InsufficientLinesError(RevsynthError):
     """A construction needs more free lines than the circuit provides."""
 
 
+class OddTokenCountError(RevsynthError):
+    """A generator-token sequence cannot be paired because one token kind
+    occurs an odd number of times."""
+
+
 class DepthLimitError(RevsynthError):
     """A recursive construction exceeds its supported depth."""
 

@@ -1,8 +1,11 @@
 """VTOF-alphabet synthesis: any permutation on n+1 lines, one borrowed line.
 
 Building blocks are gate-list fragments over explicit lines: NOT, CNOT,
-CCNOT, and the recursive multi-controlled NOT that every CKNOT macro
-lowers to. ``synth_general`` swaps each transposition of the target with
+CCNOT, the recursive multi-controlled NOT that every CKNOT macro lowers
+to, the increment ladder that adds 1 to a register of lines (the
+generator T2' on all n lines, used by the token-pair fragments in
+``even``), and ``synth_add_constant``, which adds any constant.
+``synth_general`` swaps each transposition of the target with
 one full-width multi-controlled NOT conjugated by CNOTs and NOTs
 (``transposition_gates``) and lowers everything to VTOF gates.
 
@@ -101,6 +104,45 @@ def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
     )
     join = synth_ccnot(controls[-1], x, target)
     return child + join + child + join
+
+
+def increment(lines: Sequence[int]) -> tuple[GateInstance, ...]:
+    """Add 1 to the register formed by ``lines`` (MSB first), modulo
+    ``2**len(lines)``; every other line is untouched.
+
+    One CKNOT per carry length, emitted widest first so every gate reads
+    the original low bits: the gate targeting ``lines[i]`` fires iff all
+    lines after it are 1. Each gate is self-inverse, so the reversed
+    ladder subtracts 1.
+    """
+    return tuple(cknot(lines[i + 1:], lines[i]) for i in range(len(lines)))
+
+
+def synth_add_constant(r: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
+    """Add ``r`` to the register formed by ``lines`` (MSB first), modulo
+    ``2**len(lines)``; every other line is untouched.
+
+    ``r`` is written in non-adjacent form (signed binary with no two
+    neighbouring nonzero digits), so at most ``(len(lines) + 1) // 2``
+    digits are nonzero. A digit ``+-2**j`` adds or subtracts 1 on the top
+    ``len(lines) - j`` lines, i.e. one increment ladder or its reverse.
+    """
+    m = len(lines)
+    r %= 1 << m
+    gates: list[GateInstance] = []
+    j = 0
+    while r:
+        if r & 1:
+            step = increment(lines[: m - j])
+            if r & 2:  # digit -1: r = 4q + 3 continues as 4q + 4
+                gates.extend(reversed(step))
+                r += 1
+            else:
+                gates.extend(step)
+                r -= 1
+        r >>= 1
+        j += 1
+    return tuple(gates)
 
 
 def transposition_gates(a: int, b: int, width: int) -> tuple[GateInstance, ...]:

@@ -9,10 +9,10 @@ import revsynth
 REMOVED = (
     "synth_ckswap_ancilla",  # fredkin.ckswap_fred_with_ancilla
     "synth_ckswap_borrowed_pair",  # fredkin._merged_ckswap
-    "synth_t2",  # the generator T2' is only a token; no route compiles it
+    "synth_t2",  # toffoli.increment
     "parity",  # Permutation.parity
     "synth_t1",  # toffoli.transposition_gates(0, 1, n)
-    "pair_tokens",  # permutation.disjoint_pairs pairs transpositions
+    "pair_tokens",  # even.pair_runs
     "WeightClassDecomposition",  # weights.weight_decompose's classes tuple
     "recompose",  # Permutation: the classes list states, not images
     "strings_of_weight",  # weights.weight_decompose(p)[k]
@@ -20,10 +20,6 @@ REMOVED = (
     "synth_transposition",  # fredkin._transposition_gates on state integers
     "EqualStringsError",  # callers of fredkin._transposition_gates pass a != b
     "WeightMismatchError",  # weights.weight_decompose's NotConservativeError
-    "TokenPair",  # permutation.disjoint_pairs: pairs of transpositions
-    "synth_pair",  # even.pair_sigma conjugates one C^(n-2)NOT per pair
-    "synth_fused",  # even.synth_even: no fused gate on the pair route
-    "OddTokenCountError",  # OddPermutationError, from synth_even
 )
 
 

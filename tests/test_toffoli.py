@@ -1,5 +1,6 @@
 """Toffoli-alphabet constructions: NOT/CNOT ladders, multi-controlled NOT
-recursion, transposition blocks, and full general synthesis."""
+recursion, add-constant blocks, transposition blocks, and full general
+synthesis."""
 
 from __future__ import annotations
 
@@ -12,11 +13,15 @@ from revsynth.circuit import (
     GateKind,
     LineRole,
     circuit_to_permutation,
+    cknot,
 )
 from revsynth.errors import InsufficientLinesError, WidthOutOfRangeError
 from revsynth.expand import expand_macros
+from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.toffoli import (
+    increment,
+    synth_add_constant,
     synth_ccnot,
     synth_cknot,
     synth_cnot,
@@ -26,7 +31,7 @@ from revsynth.toffoli import (
 )
 from revsynth.verify import verify_realizes
 
-from conftest import cknot_permutation
+from conftest import cknot_permutation, compose_runs
 
 
 def realized(width: int, gates) -> Permutation:
@@ -95,6 +100,66 @@ def test_synth_cknot_line_requirements():
         synth_cknot(1, (1, 2))
     with pytest.raises(InsufficientLinesError):
         synth_cknot(3, (1, 2, 3, 4))
+
+
+def test_t2_block_increments():
+    for n in (1, 2, 3, 4):
+        c = Circuit(n, increment(range(1, n + 1)))
+        assert len(c.gates) == n
+        want = compose_runs([(TransformToken.T2P, 1)], n)
+        assert circuit_to_permutation(c).mapping == want.mapping
+
+
+def add_constant_permutation(width: int, lines, r: int) -> Permutation:
+    """Oracle: add ``r`` to the register read MSB-first from ``lines``,
+    every other line unchanged."""
+    m = len(lines)
+    mapping = []
+    for x in range(1 << width):
+        value = 0
+        for l in lines:
+            value = (value << 1) | ((x >> (width - l)) & 1)
+        value = (value + r) % (1 << m)
+        for i, l in enumerate(lines):
+            bit = (value >> (m - 1 - i)) & 1
+            x = (x & ~(1 << (width - l))) | (bit << (width - l))
+        mapping.append(x)
+    return Permutation(width, mapping)
+
+
+def test_increment_is_the_t2_ladder_on_any_lines():
+    assert increment(range(1, 5)) == (
+        cknot((2, 3, 4), 1), cknot((3, 4), 2), cknot((4,), 3), cknot((), 4)
+    )
+    assert increment(()) == ()
+    width, lines = 5, (4, 1, 5)
+    assert realized(width, increment(lines)).mapping == (
+        add_constant_permutation(width, lines, 1).mapping
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_add_constant_adds_every_constant(m: int):
+    # The register sits on scattered lines in a wider circuit, so lines
+    # outside it are checked to stay untouched.
+    width = m + 2
+    lines = tuple(random.Random(m).sample(range(1, width + 1), m))
+    for r in range(1 << m):
+        gates = synth_add_constant(r, lines)
+        assert all(set(g.lines) <= set(lines) for g in gates)
+        want = add_constant_permutation(width, lines, r)
+        assert realized(width, gates).mapping == want.mapping, r
+    assert synth_add_constant(-1, lines) == synth_add_constant((1 << m) - 1, lines)
+
+
+@pytest.mark.parametrize(
+    "r, count",
+    # Non-adjacent form: 7 = 8 - 1 and 11 = 16 - 4 - 1 (modulo 16) cost
+    # one partial ladder each per nonzero digit; 5 = 4 + 1.
+    [(0, 0), (1, 4), (7, 5), (5, 6), (11, 6), (15, 4)],
+)
+def test_add_constant_frozen_counts(r: int, count: int):
+    assert len(synth_add_constant(r, (1, 2, 3, 4))) == count
 
 
 def assert_general_transposition(width: int, a: int, b: int) -> None:

@@ -50,7 +50,6 @@ from .errors import (
     InsufficientLinesError,
     NotConservativeError,
     OddPermutationError,
-    OddTokenCountError,
     RangeError,
     RevsynthError,
     UnexpandableMacroError,
@@ -94,7 +93,6 @@ __all__ = [
     "MIN_WIDTH",
     "NotConservativeError",
     "OddPermutationError",
-    "OddTokenCountError",
     "ParityVector",
     "Permutation",
     "RangeError",

@@ -12,8 +12,8 @@ so an even permutation always yields even counts of both tokens.
 ``decompose_generators`` expands those runs into the literal token list.
 No synthesis route compiles from the tokens; they carry the paper's
 generator argument for result (ii), which ``synth_even`` realizes by
-another construction. ``even.pair_runs`` and ``even.synth_pair`` still
-pair the tokens and realize each pair on n lines.
+another construction. ``even.synth_pair`` still realizes each adjacent
+pair of tokens on n lines.
 """
 
 from __future__ import annotations

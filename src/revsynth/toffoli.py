@@ -5,9 +5,15 @@ CCNOT, the recursive multi-controlled NOT that every CKNOT macro lowers
 to, the increment ladder that adds 1 to a register of lines (the
 generator T2' on all n lines, used by the token-pair fragments in
 ``even``), and ``synth_add_constant``, which adds any constant.
-``synth_general`` swaps each transposition of the target with
-one full-width multi-controlled NOT conjugated by CNOTs and NOTs
-(``transposition_gates``) and lowers everything to VTOF gates.
+
+Both VTOF routes compile by conjugation (Shende, Prasad, Markov and
+Hayes, IEEE TCAD 2003). ``conjugation_gates`` builds a CNOT/NOT list
+sigma that carries the two states of a transposition, or the four of a
+pair of disjoint transpositions, onto states that one wide multi-controlled
+NOT swaps; ``append_conjugation`` emits sigma, that gate and sigma
+reversed, and cancels equal gates where blocks meet. ``synth_general``
+uses one full-width CKNOT per transposition of the target and lowers
+everything to VTOF gates; ``even.synth_even`` uses one C^(n-2)NOT per pair.
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -145,35 +151,103 @@ def synth_add_constant(r: int, lines: Sequence[int]) -> tuple[GateInstance, ...]
     return tuple(gates)
 
 
-def transposition_gates(a: int, b: int, width: int) -> tuple[GateInstance, ...]:
-    """Macro gates on data lines ``1..width`` that swap states ``a`` and
-    ``b`` and fix every other state.
+def conjugation_gates(
+    states: Sequence[int], pivots: Sequence[int], n: int
+) -> list[GateInstance]:
+    """Macro gates ``sigma`` on lines ``1..n`` that carry 2 or 4 distinct
+    states onto the states one wide CKNOT on target ``pivots[0]`` swaps.
 
-    Line ``p`` is the first line where ``a`` and ``b`` differ. CNOTs from
-    ``p`` onto the other differing lines make the two states differ on
-    ``p`` alone; NOTs then set every other line of both to 1, so a single
-    CKNOT on target ``p``, controlled by all other lines, swaps exactly
-    them. The NOTs and CNOTs are undone in reverse order.
+    CNOTs row-reduce the differences of the states from ``states[0]``
+    onto the unit vectors of the pivot lines, in order. A row that misses
+    its pivot first takes it from its highest set bit, which lies above
+    every earlier pivot when ``pivots`` is one line or lines n, n-1, n-2.
+    The last difference of a quadruple whose XOR is 0 is the sum of the
+    other two, so it is not reduced. NOTs then send ``states[0]`` to T
+    with line ``pivots[0]`` cleared, where T = 2**n - 1.
+
+    A pair lands on T - e_p and T, in order, where p = ``pivots[0]``
+    (the general route takes a line where the two differ). A quadruple a, b, c, d with pivots n, n-1, n-2 lands
+    on T-1, T, T-3, T-2: when a^b^c^d is nonzero d first lands on T-5,
+    and three Toffolis with one negative control each on lines
+    x, y, z = n-2, n-1, n (z ^= ~x y, y ^= ~x z, x ^= ~y z) carry it to
+    T-2 while fixing T-3, T-1 and T.
     """
-    diff = [l for l in range(1, width + 1) if (a ^ b) >> (width - l) & 1]
-    p = diff[0]
-    cnots = [cnot(p, q) for q in diff[1:]]
-    low = min(a, b)  # 0 on line p, so the CNOTs leave it alone
-    others = [l for l in range(1, width + 1) if l != p]
-    nots = [not_gate(l) for l in others if not low >> (width - l) & 1]
-    return (*cnots, *nots, cknot(others, p), *reversed(nots), *reversed(cnots))
+    gates: list[GateInstance] = []
+    a = states[0]
+    rows = [a ^ s for s in states[1:]]
+    if len(rows) == 3 and not rows[0] ^ rows[1] ^ rows[2]:  # a^b^c^d == 0
+        rows.pop()
+
+    def cnot_bits(control: int, target: int) -> None:
+        # Bit i of a state is line n - i.
+        nonlocal a
+        gates.append(cnot(n - control, n - target))
+        for r, v in enumerate(rows):
+            rows[r] = v ^ (v >> control & 1) << target
+        a ^= (a >> control & 1) << target
+
+    for i, line in enumerate(pivots[: len(rows)]):
+        bit = n - line
+        if not rows[i] >> bit & 1:
+            cnot_bits(rows[i].bit_length() - 1, bit)
+        w = rows[i]
+        for q in range(w.bit_length()):
+            if q != bit and w >> q & 1:
+                cnot_bits(bit, q)
+    flips = a ^ ((1 << n) - 1) ^ (1 << (n - pivots[0]))
+    twisted = len(rows) == 3
+    if twisted:
+        # Each Toffoli sits between two NOTs on its negated control. The
+        # NOT x pair between the first two cancels, and the leading NOT x
+        # joins the flips.
+        flips ^= 1 << (n - pivots[2])
+    gates += [not_gate(l) for l in range(1, n + 1) if flips >> (n - l) & 1]
+    if twisted:
+        z, y, x = pivots
+        gates += [cknot((x, y), z), cknot((x, z), y), not_gate(x),
+                  not_gate(y), cknot((y, z), x), not_gate(y)]
+    return gates
+
+
+def append_conjugation(
+    gates: list[GateInstance], sigma: list[GateInstance], centre: GateInstance
+) -> None:
+    """Append ``sigma``, the CKNOT ``centre`` and ``sigma`` reversed to
+    ``gates`` (every gate is self-inverse, so the reversal undoes sigma).
+
+    A trailing gate of ``sigma`` whose target is not a control of the
+    centre, and which does not read the centre's target, commutes with the
+    centre and would meet its own mirror, so it is left out. At the seam,
+    each gate of the new block cancels an equal gate on top of ``gates``
+    until one does not; no two neighbours inside a block are equal, so
+    this is a full stack pass over the appended gates.
+    """
+    controls, target = centre.lines[:-1], centre.lines[-1]
+    while sigma and sigma[-1].lines[-1] not in controls and (
+        target not in sigma[-1].lines[:-1]
+    ):
+        sigma.pop()
+    block = (*sigma, centre, *reversed(sigma))
+    i = 0
+    while gates and i < len(block) and gates[-1] == block[i]:
+        gates.pop()
+        i += 1
+    gates += block[i:]
 
 
 def synth_general(p: Permutation) -> Circuit:
     """Compile any permutation to a VTOF netlist on ``width + 1`` lines.
 
     The extra line is borrowed: it may hold either value and is always
-    restored. Each transposition of ``p``, in list order, becomes one
-    ``transposition_gates`` block, so the only wide gate per transposition
-    is one full-width CKNOT (transformation-based synthesis in the style of
-    Miller, Maslov and Dueck, DAC 2003). Macro expansion then lowers the
-    blocks: the full-width CKNOTs borrow the extra line, the CNOTs and NOTs
-    borrow free data lines.
+    restored. Each transposition (a b) of ``p``, in list order, becomes one
+    conjugation: with t the first line where a and b differ,
+    ``conjugation_gates`` sends them to T - e_t and T, and one full-width
+    CKNOT on target t, controlled by every other data line, swaps them.
+    So the only wide gate per transposition is that CKNOT
+    (transformation-based synthesis in the style of Miller, Maslov and
+    Dueck, DAC 2003). Macro expansion then lowers the blocks: the
+    full-width CKNOTs borrow the extra line, the CNOTs and NOTs borrow free
+    data lines.
     """
     n = p.width
     if not GENERAL_MIN_WIDTH <= n <= GENERAL_MAX_WIDTH:
@@ -181,9 +255,13 @@ def synth_general(p: Permutation) -> Circuit:
             f"general synthesis supports widths "
             f"{GENERAL_MIN_WIDTH}..{GENERAL_MAX_WIDTH}, got {n}"
         )
+    lines = range(1, n + 1)
+    centres = {t: cknot([l for l in lines if l != t], t) for t in lines}
     gates: list[GateInstance] = []
     for a, b in p.to_transpositions():
-        gates.extend(transposition_gates(a, b, n))
+        t = n + 1 - (a ^ b).bit_length()
+        sigma = conjugation_gates((a, b) if a < b else (b, a), (t,), n)
+        append_conjugation(gates, sigma, centres[t])
     macro = Circuit(
         n + 1,
         tuple(gates),

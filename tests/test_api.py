@@ -5,14 +5,15 @@ from __future__ import annotations
 import revsynth
 
 # Names removed from the package, each with the one place its behaviour
-# lives now.
+# lives now, or why it has none.
 REMOVED = (
     "synth_ckswap_ancilla",  # fredkin.ckswap_fred_with_ancilla
     "synth_ckswap_borrowed_pair",  # fredkin._merged_ckswap
     "synth_t2",  # toffoli.increment
     "parity",  # Permutation.parity
-    "synth_t1",  # toffoli.transposition_gates(0, 1, n)
-    "pair_tokens",  # even.pair_runs
+    "synth_t1",  # toffoli.conjugation_gates((0, 1), (n,), n) around a CKNOT
+    "pair_tokens",  # deleted with even.pair_runs: no route pairs tokens
+    "OddTokenCountError",  # deleted with even.pair_runs, its only raiser
     "WeightClassDecomposition",  # weights.weight_decompose's classes tuple
     "recompose",  # Permutation: the classes list states, not images
     "strings_of_weight",  # weights.weight_decompose(p)[k]

@@ -1,6 +1,6 @@
 """Even-permutation synthesis: disjoint-pair decomposition, the conjugating
-gate list of each pair, pairing over token runs, token-pair fragments,
-fused gate, and the no-extra-lines pipeline."""
+gate list of each pair, token-pair fragments, fused gate, and the
+no-extra-lines pipeline."""
 
 from __future__ import annotations
 
@@ -10,21 +10,11 @@ import statistics
 import pytest
 
 from revsynth.circuit import Circuit, GateKind, LineRole, circuit_to_permutation
-from revsynth.errors import (
-    OddPermutationError,
-    OddTokenCountError,
-    WidthOutOfRangeError,
-)
-from revsynth.even import (
-    TokenPair,
-    pair_runs,
-    pair_sigma,
-    synth_even,
-    synth_fused,
-    synth_pair,
-)
+from revsynth.errors import OddPermutationError, WidthOutOfRangeError
+from revsynth.even import TokenPair, synth_even, synth_fused, synth_pair
 from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation, disjoint_pairs, sample_permutation
+from revsynth.toffoli import conjugation_gates
 from revsynth.verify import verify_realizes
 
 from conftest import compose_runs
@@ -112,36 +102,12 @@ def test_pair_sigma_places_both_transpositions(n: int):
         else:
             d = rng.choice([s for s in range(1 << n) if s not in (a, b, c)])
         twisted += bool(a ^ b ^ c ^ d)
-        gates = pair_sigma(a, b, c, d, n)
+        gates = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
         assert all(g.kind is GateKind.CKNOT and g.k <= 2 for g in gates)
         sigma = circuit_to_permutation(Circuit(n, tuple(gates)))
         assert (sigma(a), sigma(b)) == (top - 1, top), (a, b, c, d)
         assert (sigma(c), sigma(d)) == (top - 3, top - 2), (a, b, c, d)
     assert 0 < twisted < 40
-
-
-def test_pair_tokens_frozen_examples():
-    assert pair_runs([]) == []
-    assert pair_runs([(T1P, 2)]) == [(M1, 1)]
-    assert pair_runs([(T2P, 2), (T1P, 2)]) == [(M2, 1), (M1, 1)]
-    assert pair_runs([(T1P, 1), (T2P, 2), (T1P, 1)]) == [(M3, 1), (M4, 1)]
-    assert pair_runs([(T2P, 1), (T1P, 2), (T2P, 1)]) == [(M4, 1), (M3, 1)]
-    # An odd run lends its last token to the next pair; runs of one pair
-    # kind merge, including doubled shifts split over several runs.
-    assert pair_runs([(T2P, 7), (T1P, 2), (T2P, 5)]) == [
-        (M2, 3), (M4, 1), (M3, 1), (M2, 2)
-    ]
-    assert pair_runs([(T2P, 4), (T2P, 2)]) == [(M2, 3)]
-    assert pair_runs([(T1P, 1), (T2P, 1)] * 2) == [(M3, 2)]
-
-
-def test_pair_tokens_rejects_odd_counts():
-    with pytest.raises(OddTokenCountError):
-        pair_runs([(T1P, 1)])
-    with pytest.raises(OddTokenCountError):
-        pair_runs([(T1P, 1), (T2P, 2)])
-    with pytest.raises(OddTokenCountError):
-        pair_runs([(T2P, 3)])
 
 
 @pytest.mark.parametrize("pair", list(TokenPair))

@@ -24,7 +24,7 @@ ROUTES = {
 }
 
 DIGESTS = {
-    "general": "35e9fbba7f2b90b9f71e4bd3783e40132033ce4d009006333b1781df4b4addf6",
+    "general": "28cdd4b7606590829e7e7b87eddcce403e0ee4bfba32cac28beba3aeebdb1ffa",
     "even": "6fa4331152ae2a587c9a4d06746305660cbd3e52d4bf440180f7879ba2f935f1",
     "conservative": "a4edc3635e189dc30465da203604387b7d9178242782c6d3f70503e30ef71461",
 }

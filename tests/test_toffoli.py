@@ -1,6 +1,6 @@
 """Toffoli-alphabet constructions: NOT/CNOT ladders, multi-controlled NOT
-recursion, add-constant blocks, transposition blocks, and full general
-synthesis."""
+recursion, add-constant blocks, the conjugation blocks both VTOF routes
+share, and full general synthesis."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from revsynth import expand
 from revsynth.circuit import (
     Circuit,
     GateKind,
@@ -16,10 +17,13 @@ from revsynth.circuit import (
     cknot,
 )
 from revsynth.errors import InsufficientLinesError, WidthOutOfRangeError
+from revsynth.even import synth_even
 from revsynth.expand import expand_macros
 from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.toffoli import (
+    append_conjugation,
+    conjugation_gates,
     increment,
     synth_add_constant,
     synth_ccnot,
@@ -27,7 +31,6 @@ from revsynth.toffoli import (
     synth_cnot,
     synth_general,
     synth_not,
-    transposition_gates,
 )
 from revsynth.verify import verify_realizes
 
@@ -185,23 +188,49 @@ def test_general_transposition_sampled_pairs_at_width_four():
         assert_general_transposition(4, a, b)
 
 
+def full_width_centre(width: int, t: int):
+    return cknot([l for l in range(1, width + 1) if l != t], t)
+
+
+def general_blocks(width: int, pairs) -> tuple[list, list]:
+    """The general route's macro list for ``pairs``, built as
+    ``synth_general`` builds it, and the same blocks uncancelled."""
+    gates: list = []
+    blocks: list = []
+    for a, b in pairs:
+        t = width + 1 - (a ^ b).bit_length()
+        centre = full_width_centre(width, t)
+        sigma = conjugation_gates((min(a, b), max(a, b)), (t,), width)
+        blocks += [*sigma, centre, *reversed(sigma)]
+        append_conjugation(gates, sigma, centre)
+    return gates, blocks
+
+
 def test_transposition_gates_cover_both_orders_and_every_pair():
-    # Macro level on the data lines alone: (a, b) and (b, a) both swap
-    # exactly those two states, whichever of them has the 1 on line p.
+    # Macro level on the data lines alone: with either state first, sigma
+    # sends the first to T - e_t and the second to T, so the block swaps
+    # exactly those two states.
     for width in (2, 3, 4):
+        top = (1 << width) - 1
         for a in range(1 << width):
             for b in range(1 << width):
                 if a != b:
+                    t = width + 1 - (a ^ b).bit_length()
+                    sigma = conjugation_gates((a, b), (t,), width)
+                    images = realized(width, sigma)
+                    assert images(b) == top, (width, a, b)
+                    assert images(a) == top ^ 1 << (width - t), (width, a, b)
+                    gates: list = []
+                    append_conjugation(gates, sigma, full_width_centre(width, t))
                     want = Permutation.from_cycle(width, (a, b))
-                    got = realized(width, transposition_gates(a, b, width))
-                    assert got.mapping == want.mapping, (width, a, b)
+                    assert realized(width, gates).mapping == want.mapping
 
 
 @pytest.mark.parametrize("width", [3, 4, 5, 6])
 def test_general_macro_is_one_wide_cknot_per_transposition(width: int):
     p = sample_permutation(width, "any", seed=width)
     pairs = p.to_transpositions()
-    gates = tuple(g for a, b in pairs for g in transposition_gates(a, b, width))
+    gates = tuple(general_blocks(width, pairs)[0])
     assert all(g.kind is GateKind.CKNOT for g in gates)
     wide = [g for g in gates if g.k == width - 1]
     assert len(wide) == len(pairs)
@@ -213,11 +242,36 @@ def test_general_macro_is_one_wide_cknot_per_transposition(width: int):
     assert expand_macros(macro, "VTOF") == synth_general(p)
 
 
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_vtof_macro_lists_cancel_where_blocks_meet(width: int, monkeypatch):
+    # Both routes hand their macro list to expand_macros; catch it there.
+    macros = []
+    real = expand.expand_macros
+
+    def spy(macro, alphabet):
+        macros.append(macro.gates)
+        return real(macro, alphabet)
+
+    monkeypatch.setattr(expand, "expand_macros", spy)
+    roles = (LineRole.DATA,) * width + (LineRole.BORROWED,)
+    for seed in range(6):
+        synth_even(sample_permutation(width, "even", seed))
+        p = sample_permutation(width, "any", seed)
+        netlist = synth_general(p)
+        for gates in macros[-2:]:
+            assert all(g != h for g, h in zip(gates, gates[1:])), seed
+        # The general netlist is no longer than its blocks uncancelled.
+        uncancelled = general_blocks(width, p.to_transpositions())[1]
+        whole = real(Circuit(width + 1, tuple(uncancelled), roles=roles),
+                     "VTOF")
+        assert len(netlist.gates) <= len(whole.gates), seed
+
+
 @pytest.mark.parametrize(
     "width, count",
     # Seed 0 at each width. Frozen: a change in emitted size updates these
     # and the README's gate-count table together.
-    [(3, 60), (4, 616), (5, 2652), (6, 9280)],
+    [(3, 60), (4, 616), (5, 2648), (6, 9248)],
 )
 def test_general_synthesis_frozen_counts(width: int, count: int):
     p = sample_permutation(width, "any", seed=0)

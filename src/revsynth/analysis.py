@@ -73,13 +73,19 @@ def binom_mod2(n: int, r: int) -> int:
     return 1 if (r & ~n) == 0 else 0
 
 
+def _check_line_count(m: int) -> None:
+    if m > MAX_WIDTH:
+        raise WidthOutOfRangeError(f"line count m capped at {MAX_WIDTH}, got {m}")
+
+
 def ckswap_parity_formula(k: int, m: int) -> ParityVector:
-    """Closed-form parity vector of the k-controlled swap on m lines
+    """Closed-form parity vector of the k-controlled swap on m <= 16 lines
     (k = 0 is the plain SWAP).
 
     Zeros through entry k, then the Pascal row C(m-2-k, j) mod 2 across
     entries k+1 .. m-1 (both ends of the row are 1), then 0.
     """
+    _check_line_count(m)
     if not 0 <= k <= m - 2:
         raise RangeError(f"need 0 <= k <= m-2, got k={k}, m={m}")
     entries = [0] * (m + 1)
@@ -91,6 +97,7 @@ def ckswap_parity_formula(k: int, m: int) -> ParityVector:
 def embedded_gate_permutation(k: int, m: int) -> Permutation:
     """The k-controlled swap as an m-bit permutation, occupying the
     lowest-index lines (controls 1..k, targets k+1, k+2)."""
+    _check_line_count(m)  # before a gate with k controls is built
     if not 0 <= k <= m - 2:
         raise RangeError(f"need 0 <= k <= m-2, got k={k}, m={m}")
     gate = ckswap(tuple(range(1, k + 1)), k + 1, k + 2)
@@ -109,13 +116,14 @@ class IndependenceResult:
 
 
 def independence_check(k: int, m: int) -> IndependenceResult:
-    """Is the C^kSWAP parity vector on m lines outside the GF(2) span of
-    the C^0..C^(k-1)SWAP vectors?
+    """Is the C^kSWAP parity vector on m <= 16 lines outside the GF(2)
+    span of the C^0..C^(k-1)SWAP vectors?
 
     Gaussian elimination with tracked combinations: independent comes
     with the first coordinate of the irreducible residual, dependent with
     the coefficient bitmask that reproduces the vector.
     """
+    _check_line_count(m)
     if not 1 <= k <= m - 2:
         raise RangeError(f"need 1 <= k <= m-2, got k={k}, m={m}")
 

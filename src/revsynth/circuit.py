@@ -26,9 +26,10 @@ aliases of the enum members, so no per-gate attribute or enum-class lookup
 runs in the loop. Masks are read back with one binary-string row per line,
 transposed into per-state integers.
 
-A ``Circuit`` validates each distinct gate once and records whether all of
-them are primitive, so ``primitive_gate_count`` and ``is_primitive`` are
-O(1) for the primitive netlists synthesis emits.
+The gate factories only construct. A ``Circuit`` validates each distinct
+gate once and records whether all of them are primitive, so
+``primitive_gate_count`` and ``is_primitive`` are O(1) for the primitive
+netlists synthesis emits.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class GateInstance(NamedTuple):
         return lines[-2:]
 
     def validate(self) -> None:
+        """Check a known kind, its line count and distinct 1-based integer
+        lines; the width bound is checked by the ``Circuit``."""
         kind, lines = self
         n = len(lines)
         if kind is VTOF or kind is FRED:
@@ -114,6 +117,10 @@ class GateInstance(NamedTuple):
                 raise ValueError("CKSWAP needs at least two target lines")
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
+        # A bool or float line would print as a token that read_netlist
+        # rejects and fail later in simulation.
+        if not all(type(l) is int for l in lines):
+            raise TypeError(f"gate lines must be integers, got {lines}")
         if len(set(lines)) != n:
             raise ValueError(f"gate lines must be distinct, got {lines}")
         if min(lines) < 1:
@@ -121,27 +128,19 @@ class GateInstance(NamedTuple):
 
 
 def vtof(control: int, invert: int, target: int) -> GateInstance:
-    g = GateInstance(VTOF, (control, invert, target))
-    g.validate()
-    return g
+    return GateInstance(VTOF, (control, invert, target))
 
 
 def fred(control: int, t1: int, t2: int) -> GateInstance:
-    g = GateInstance(FRED, (control, t1, t2))
-    g.validate()
-    return g
+    return GateInstance(FRED, (control, t1, t2))
 
 
 def cknot(controls: Iterable[int], target: int) -> GateInstance:
-    g = GateInstance(CKNOT, (*controls, target))
-    g.validate()
-    return g
+    return GateInstance(CKNOT, (*controls, target))
 
 
 def ckswap(controls: Iterable[int], t1: int, t2: int) -> GateInstance:
-    g = GateInstance(CKSWAP, (*controls, t1, t2))
-    g.validate()
-    return g
+    return GateInstance(CKSWAP, (*controls, t1, t2))
 
 
 def not_gate(target: int) -> GateInstance:
@@ -165,9 +164,9 @@ class Circuit:
     at the stated constant and are restored to it; ``borrowed`` lines may
     start at either value and are restored to it.
 
-    Construction validates each distinct gate once (kind, line count,
-    distinct 1-based lines within ``width``); when several gates are bad,
-    the error names the earliest in list order. The same pass records
+    Construction validates each distinct gate once (``GateInstance.validate``
+    and lines within ``width``); when several gates are bad, the error
+    names the earliest in list order. The same pass records
     whether every gate is primitive, which makes the primitive count of a
     primitive netlist its length.
     """
@@ -196,11 +195,6 @@ class Circuit:
         for g in dict.fromkeys(self.gates):
             g.validate()
             kind, lines = g
-            # Checked here, not in the gate factories, so it runs once per
-            # distinct gate; a bool or float line would print as a token
-            # that read_netlist rejects and fail later in simulation.
-            if not all(type(l) is int for l in lines):
-                raise TypeError(f"gate lines must be integers, got {lines}")
             if max(lines) > self.width:
                 raise ValueError(
                     f"gate {kind.value} {lines} exceeds width {self.width}"

@@ -19,8 +19,7 @@ designated extra line while narrower gates borrow nearby data lines.
 that order once per call and only filters out each gate's own lines. It
 also looks up ``toffoli.synth_cknot`` and ``fredkin.relabelled_ckswap``
 once per call, through their modules, so a wrapper installed on either
-module is the one that runs. The expanded ``Circuit`` validates each
-distinct lowered gate once.
+module is the one that runs.
 """
 
 from __future__ import annotations

@@ -19,11 +19,6 @@ k=3..8: the size grows about as k^2, where peeling one control at a time
 grew 4x per control. Against a 1 ancilla the last two controls fold into
 the pair: 15, 17, 57, 119, 219, 401 gates at k=3..8,
 T1(k) = T1(k-2) + S(k-2) + 2 from k=4.
-
-The stage plan and the relabelled lowerings build their gates raw, with
-one interned object per FRED line triple; each distinct gate is validated
-once, by the ``Circuit`` it lands in (the macro circuit, then the
-expanded one).
 """
 
 from __future__ import annotations
@@ -31,12 +26,11 @@ from __future__ import annotations
 import functools
 
 from .circuit import (
-    CKSWAP,
-    FRED,
     Circuit,
     GateInstance,
     LineRole,
     apply_gates_bitsliced,
+    ckswap,
     fred,
     initial_line_masks,
 )
@@ -49,14 +43,8 @@ CONSERVATIVE_MIN_WIDTH = 3
 CONSERVATIVE_MAX_WIDTH = 12
 
 
-@functools.cache
-def _interned_fred(control: int, t1: int, t2: int) -> GateInstance:
-    """The one shared, unvalidated FRED on these lines. Callers pass the
-    lines of a gate that a ``Circuit`` validates (or has validated), so
-    keys are distinct lines within the width cap: at most 16 * 15 * 14.
-    Equal gates are then one object, which dictionaries keyed by gate
-    match by identity."""
-    return GateInstance(FRED, (control, t1, t2))
+# One object per FRED line triple; at most 16*15*14 keys under the width cap.
+_interned_fred = functools.cache(fred)
 
 
 def _set_lines(x: int, n: int) -> list[int]:
@@ -81,15 +69,13 @@ def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
     and M[0]) and swaps S[0] with M[0]; the walk then runs back. At
     Hamming distance 2d that is 2d-1 gates, one of them a CKSWAP. Classes
     below weight k are never touched; heavier classes may move (the stage
-    plan corrects for that). The gates are built raw, FREDs interned: the
-    macro ``Circuit`` that ``synth_conservative`` builds validates each
-    distinct one once.
+    plan corrects for that).
     """
     s = _set_lines(a & ~b, n)
     m = _set_lines(b & ~a, n)
     walk = tuple(_interned_fred(s[0], s[i], m[i]) for i in range(1, len(s)))
     controls = _set_lines(b ^ 1 << (n - m[0]), n)
-    centre = GateInstance(CKSWAP, (*controls, min(s[0], m[0]), max(s[0], m[0])))
+    centre = ckswap(controls, min(s[0], m[0]), max(s[0], m[0]))
     return walk + (centre,) + walk[::-1]
 
 
@@ -228,11 +214,8 @@ def relabelled_ckswap(
 
     The lowering treats its lines as labels only, so the gates for any
     line choice are the canonical ones with each line renamed. Each call
-    looks up only the block's few distinct gates, as interned FREDs (one
-    object per line triple, bounded by the width cap), and validates
-    none: the lines come from a gate of a validated macro ``Circuit`` plus
-    a line it does not touch. k=1 never reads the ancilla, so
-    ``ancilla_line`` may be ``None`` there.
+    looks up only the block's few distinct gates, as interned FREDs. k=1
+    never reads the ancilla, so ``ancilla_line`` may be ``None`` there.
     """
     triples, order = _ckswap_shape(len(controls), ancilla_value)
     lines = (*controls, *targets, ancilla_line)

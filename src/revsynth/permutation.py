@@ -180,6 +180,10 @@ def disjoint_pairs(mapping: Sequence[int]) -> list[Pair]:
         # R1 has an index sum of 0 mod m, and one of R2 a sum of 1.
         t1, t2 = r1.pop(), r2.pop(0)
         if set(t1) & set(t2):
+            if len(mapping) < 5:
+                raise ValueError(
+                    f"disjoint pairs need at least 5 points, got {len(mapping)}"
+                )
             v, w = [s for s in range(5) if s not in t1 + t2][:2]
             middle = [(t1, (v, w)), ((v, w), t2)]
         else:

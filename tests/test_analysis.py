@@ -105,6 +105,10 @@ def test_formula_range_errors():
         ckswap_parity_formula(-1, 4)
     with pytest.raises(RangeError):
         embedded_gate_permutation(4, 5)
+    with pytest.raises(WidthOutOfRangeError):
+        ckswap_parity_formula(3, 17)
+    with pytest.raises(WidthOutOfRangeError, match="capped at 16"):
+        embedded_gate_permutation(30, 32)
 
 
 def test_parity_vectors_add_under_composition():
@@ -160,6 +164,8 @@ def test_independence_range_errors():
         independence_check(0, 4)
     with pytest.raises(RangeError):
         independence_check(3, 4)
+    with pytest.raises(WidthOutOfRangeError):
+        independence_check(3, 17)
 
 
 def test_embedded_parity_examples():

@@ -136,16 +136,17 @@ def test_gate_accessors():
 
 
 def test_gate_validation_errors():
-    with pytest.raises(ValueError):
-        vtof(1, 1, 2)
-    with pytest.raises(ValueError):
-        fred(0, 1, 2)
+    # The factories only construct; the Circuit a gate enters checks it.
+    with pytest.raises(ValueError, match="distinct"):
+        Circuit(3, (vtof(1, 1, 2),))
+    with pytest.raises(ValueError, match="1-based"):
+        Circuit(3, (fred(0, 1, 2),))
     with pytest.raises(ValueError):
         GateInstance(GateKind.VTOF, (1, 2)).validate()
     with pytest.raises(ValueError):
         GateInstance(GateKind.CKSWAP, (1,)).validate()
-    with pytest.raises(ValueError):
-        cknot((1, 2), 2)
+    with pytest.raises(ValueError, match="distinct"):
+        Circuit(3, (cknot((1, 2), 2),))
     # A plain string is not a gate kind, even when it names one.
     with pytest.raises(ValueError, match="unknown gate kind 'VTOF'"):
         GateInstance("VTOF", (1, 2, 3)).validate()

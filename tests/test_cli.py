@@ -199,6 +199,8 @@ def test_independence_output(capsys):
 def test_independence_range_error(capsys):
     assert main(["analyze", "independence", "--k", "9", "--m", "4"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["analyze", "independence", "--k", "3", "--m", "17"]) == 2
+    assert "capped at 16" in capsys.readouterr().err
 
 
 def test_embedded_parity_all_even(capsys):

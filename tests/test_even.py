@@ -60,6 +60,12 @@ def test_disjoint_pairs_frozen_meetings():
     p = Permutation.from_cycle(3, (0, 1, 2))
     assert assert_disjoint_pairs(p) == [((1, 2), (3, 4)), ((3, 4), (1, 0))]
     assert disjoint_pairs(Permutation.identity(3).mapping) == []
+    # On fewer points that meeting has no two spare states: a 3-cycle on 3
+    # or 4 points has no disjoint-pair form. (0 1)(2 3) needs none.
+    for mapping in ([1, 2, 0, 3], [1, 2, 0]):
+        with pytest.raises(ValueError, match="at least 5 points"):
+            disjoint_pairs(mapping)
+    assert disjoint_pairs([1, 0, 3, 2]) == [((1, 0), (3, 2))]
 
 
 def test_disjoint_pairs_compose_back_to_random_targets():

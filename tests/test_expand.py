@@ -7,8 +7,10 @@ import random
 
 import pytest
 
+from revsynth import expand
 from revsynth.circuit import (
     Circuit,
+    GateInstance,
     GateKind,
     LineRole,
     circuit_to_permutation,
@@ -21,9 +23,11 @@ from revsynth.circuit import (
     vtof,
 )
 from revsynth.errors import InsufficientLinesError, UnexpandableMacroError
+from revsynth.even import synth_even
 from revsynth.expand import expand_macros, free_lines
-from revsynth.fredkin import ckswap_fred_with_ancilla
-from revsynth.toffoli import synth_cknot
+from revsynth.fredkin import ckswap_fred_with_ancilla, synth_conservative
+from revsynth.permutation import sample_permutation
+from revsynth.toffoli import synth_cknot, synth_general
 
 
 def all_data(width: int, *gates):
@@ -223,3 +227,34 @@ def test_expand_matches_per_gate_helper_choice(alphabet: str):
         want = [g for gate in macro.gates
                 for g in _reference_lowering(macro, gate, alphabet)]
         assert list(expand_macros(macro, alphabet).gates) == want
+
+
+@pytest.mark.parametrize(
+    "synth, kind, width",
+    [(synth_general, "any", 4), (synth_even, "even", 4),
+     (synth_conservative, "conservative", 6)],
+)
+def test_each_distinct_gate_is_validated_once_per_circuit(
+    synth, kind: str, width: int, monkeypatch
+):
+    # The gate factories check nothing: one synthesis run validates each
+    # distinct gate of the macro circuit, then each of the netlist.
+    macros = []
+    real_expand = expand.expand_macros
+
+    def spy(macro, alphabet):
+        macros.append(macro)
+        return real_expand(macro, alphabet)
+
+    calls = []
+    real_validate = GateInstance.validate
+
+    def counted(gate):
+        calls.append(gate)
+        real_validate(gate)
+
+    monkeypatch.setattr(expand, "expand_macros", spy)
+    monkeypatch.setattr(GateInstance, "validate", counted)
+    netlist = synth(sample_permutation(width, kind, seed=3))
+    (macro,) = macros
+    assert len(calls) == len(set(macro.gates)) + len(set(netlist.gates))

@@ -21,9 +21,10 @@ bitsliced: one Python bignum per line holds that line's value across every
 simulated state (bit ``s`` of the mask for line ``l`` is line ``l``'s value
 in state ``s``; a constant line is 0 or all ones), so each gate costs a
 handful of bignum operations regardless of width. The kernel unpacks each
-gate as ``(kind, lines)`` and compares the kind against module-level
-aliases of the enum members, so no per-gate attribute or enum-class lookup
-runs in the loop. Masks are read back with one binary-string row per line,
+gate as ``(kind, lines)``, compares the kind against module-level aliases
+of the enum members (VTOF first), and reads each mask that the gate
+rewrites into a local once, so no per-gate attribute or enum-class lookup
+and no second read of a mask runs in the loop. Masks are read back with one binary-string row per line,
 transposed into per-state integers.
 
 The gate factories only construct. A ``Circuit`` validates each distinct
@@ -106,6 +107,16 @@ class GateInstance(NamedTuple):
         lines; the width bound is checked by the ``Circuit``."""
         kind, lines = self
         n = len(lines)
+        if (kind is VTOF or kind is FRED) and n == 3:
+            # Straight-line pass for the primitive gates synthesis emits; a
+            # bad one falls through to the checks below for its message.
+            a, b, c = lines
+            if (
+                type(a) is int and type(b) is int and type(c) is int
+                and a != b and b != c and a != c
+                and a >= 1 and b >= 1 and c >= 1
+            ):
+                return
         if kind is VTOF or kind is FRED:
             if n != 3:
                 raise ValueError(f"{kind.value} needs 3 lines, got {n}")
@@ -284,13 +295,16 @@ def apply_gates_bitsliced(
     for kind, lines in gates:
         if kind is VTOF:
             c, i, t = lines
-            masks[t] ^= masks[c] & masks[i]
-            masks[i] ^= all_ones
+            mi = masks[i]
+            masks[t] ^= masks[c] & mi
+            masks[i] = mi ^ all_ones
         elif kind is FRED:
             c, a, b = lines
-            d = masks[c] & (masks[a] ^ masks[b])
-            masks[a] ^= d
-            masks[b] ^= d
+            ma = masks[a]
+            mb = masks[b]
+            d = masks[c] & (ma ^ mb)
+            masks[a] = ma ^ d
+            masks[b] = mb ^ d
         elif kind is CKNOT:
             *cs, t = lines
             prod = all_ones

@@ -11,20 +11,36 @@ Format, one statement per line, ``#`` starting a comment anywhere::
 
 Every number is ASCII decimal, and the width lies in ``1..MAX_WIDTH``.
 Gates apply in file order. ``write_netlist`` followed by ``read_netlist``
-reproduces the circuit exactly. A netlist repeats a few distinct gates many
-times, so both directions handle each distinct gate (or gate statement) once
-and reuse the result for its repeats.
+reproduces the circuit exactly.
+
+A netlist repeats a few distinct gates many times, so ``write_netlist``
+formats each distinct gate once and ``read_netlist`` reads each distinct
+row once, in order of first appearance. That order is file order for every
+row that sets the width or a role, because a repeated ``lines`` or ``role``
+row is always an error; what repeats are gate, blank and comment rows,
+which change nothing. The rows then become gates in one pass through the
+table of rows read. On any error the rows are read again one by one in
+file order, so the error names the earliest bad row.
 """
 
 from __future__ import annotations
 
-from .circuit import Circuit, GateInstance, GateKind, LineRole
+from typing import NoReturn
+
+from .circuit import CKNOT, FRED, VTOF, Circuit, GateInstance, GateKind, LineRole
 from .permutation import MAX_WIDTH, parse_decimal
 
 _ROLE_NAMES = {r.value: r for r in LineRole}
+_GATE_KINDS = {k.value: k for k in GateKind}
+# What a ``lines`` or ``role`` row reads as. Like the None of a blank row it
+# is falsy, so one filter keeps only the gates, and unlike None it can be
+# counted apart from them.
+_HEADER = ()
 
 
 def write_netlist(circuit: Circuit) -> str:
+    """The netlist text of ``circuit``: its width, one role row per line,
+    then one row per gate in order. Each distinct gate is formatted once."""
     out = [f"lines {circuit.width}"]
     for idx, role in enumerate(circuit.roles, start=1):
         out.append(f"role {idx} {role.value}")
@@ -44,83 +60,139 @@ def _gate_text(g: GateInstance) -> str:
     return f"{g.kind.value} {g.k} {body}"
 
 
-def _gate(keyword: str, fields: list[str], width: int | None) -> GateInstance:
-    """The gate on the given line fields. Once the width is known, a line
-    above it is reported at this statement rather than by ``Circuit``."""
-    lines = tuple(map(parse_decimal, fields))
-    if width is not None and max(lines) > width:
-        raise ValueError(f"gate {keyword} {lines} exceeds width {width}")
-    return GateInstance(GateKind(keyword), lines)
+class _Header:
+    """What the rows read so far declare: the width once ``lines`` is read,
+    the role of each line, and how many ``lines`` and ``role`` rows there
+    were."""
+
+    def __init__(self) -> None:
+        self.width: int | None = None
+        self.roles: dict[int, LineRole] = {}
+        self.rows = 0
+
+    def read(self, raw: str) -> GateInstance | tuple[()] | None:
+        """Read one row: its gate, ``_HEADER`` for a ``lines`` or ``role``
+        row, or None for a blank or comment row. A bad row raises
+        ``ValueError`` without its line number."""
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            return None
+        keyword = tokens[0]
+        kind = _GATE_KINDS.get(keyword)
+        if kind is not None:
+            return self._gate(kind, tokens)
+        if keyword == "lines":
+            if self.width is not None:
+                raise ValueError("duplicate 'lines' statement")
+            if len(tokens) != 2:
+                raise ValueError(f"malformed statement {' '.join(tokens)!r}")
+            width = parse_decimal(tokens[1])
+            if not 1 <= width <= MAX_WIDTH:
+                raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {width}")
+            self.width = width
+        elif keyword == "role":
+            if len(tokens) != 3:
+                raise ValueError("role statement needs index and role name")
+            idx = parse_decimal(tokens[1])
+            if self.width is not None and not 1 <= idx <= self.width:
+                raise ValueError(f"role index {idx} outside 1..{self.width}")
+            if tokens[2] not in _ROLE_NAMES:
+                raise ValueError(f"unknown role {tokens[2]!r}")
+            if idx in self.roles:
+                raise ValueError(f"duplicate role for line {idx}")
+            self.roles[idx] = _ROLE_NAMES[tokens[2]]
+        else:
+            raise ValueError(f"unknown statement {keyword!r}")
+        self.rows += 1
+        return _HEADER
+
+    def _gate(self, kind: GateKind, tokens: list[str]) -> GateInstance:
+        """The gate of a gate row. Once the width is known, a line above it
+        is reported at this row rather than by ``Circuit``."""
+        keyword = tokens[0]
+        if kind is VTOF or kind is FRED:
+            if len(tokens) != 4:
+                raise ValueError(f"{keyword} needs exactly 3 line numbers")
+            fields = tokens[1:]
+        else:
+            if len(tokens) < 2:
+                raise ValueError(f"malformed statement {' '.join(tokens)!r}")
+            k = parse_decimal(tokens[1])
+            wanted = k + (2 if kind is CKNOT else 3)
+            if len(tokens) != wanted + 1:
+                raise ValueError(f"{keyword} with k={k} needs {wanted - 1} line numbers")
+            fields = tokens[2:]
+        digits = "".join(fields)
+        if not (digits.isascii() and digits.isdigit()):
+            for field in fields:
+                parse_decimal(field)  # raises on the first bad field
+        lines = tuple(map(int, fields))
+        if self.width is not None and max(lines) > self.width:
+            raise ValueError(f"gate {keyword} {lines} exceeds width {self.width}")
+        return GateInstance(kind, lines)
+
+
+def _raise_earliest_error(rows: list[str]) -> NoReturn:
+    """Read ``rows`` one at a time in file order and raise the error of the
+    first bad row, with its line number. A gate row that already read is
+    not read again, just as the first pass reads each distinct row once."""
+    header = _Header()
+    gate_rows: set[str] = set()
+    for lineno, raw in enumerate(rows, start=1):
+        if raw in gate_rows:
+            continue
+        try:
+            if header.read(raw):
+                gate_rows.add(raw)
+        except ValueError as exc:
+            raise ValueError(f"netlist line {lineno}: {exc}") from None
+    raise AssertionError("no row failed when the rows were read one by one")
 
 
 def read_netlist(text: str) -> Circuit:
-    width: int | None = None
-    roles: dict[int, LineRole] = {}
-    gates: list[GateInstance] = []
-    # Gate statements that parsed, by their raw line text. Failed ones are
-    # never stored, so every bad line reports its own number.
-    parsed: dict[str, GateInstance] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        gate = parsed.get(raw)
-        if gate is not None:
-            gates.append(gate)
-            continue
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        keyword = tokens[0]
-        try:
-            if keyword == "lines":
-                if width is not None:
-                    raise ValueError("duplicate 'lines' statement")
-                if len(tokens) != 2:
-                    raise ValueError(f"malformed statement {' '.join(tokens)!r}")
-                width = parse_decimal(tokens[1])
-                if not 1 <= width <= MAX_WIDTH:
-                    raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {width}")
-            elif keyword == "role":
-                if len(tokens) != 3:
-                    raise ValueError("role statement needs index and role name")
-                idx = parse_decimal(tokens[1])
-                if width is not None and not 1 <= idx <= width:
-                    raise ValueError(f"role index {idx} outside 1..{width}")
-                if tokens[2] not in _ROLE_NAMES:
-                    raise ValueError(f"unknown role {tokens[2]!r}")
-                if idx in roles:
-                    raise ValueError(f"duplicate role for line {idx}")
-                roles[idx] = _ROLE_NAMES[tokens[2]]
-            elif keyword in ("VTOF", "FRED"):
-                if len(tokens) != 4:
-                    raise ValueError(f"{keyword} needs exactly 3 line numbers")
-                gate = _gate(keyword, tokens[1:], width)
-                gates.append(gate)
-                parsed[raw] = gate
-            elif keyword in ("CKNOT", "CKSWAP"):
-                if len(tokens) < 2:
-                    raise ValueError(f"malformed statement {' '.join(tokens)!r}")
-                k = parse_decimal(tokens[1])
-                wanted = k + (2 if keyword == "CKNOT" else 3)
-                if len(tokens) != wanted + 1:
-                    raise ValueError(
-                        f"{keyword} with k={k} needs {wanted - 1} line numbers"
-                    )
-                gate = _gate(keyword, tokens[2:], width)
-                gates.append(gate)
-                parsed[raw] = gate
-            else:
-                raise ValueError(f"unknown statement {keyword!r}")
-        except ValueError as exc:
-            raise ValueError(f"netlist line {lineno}: {exc}") from None
+    """The circuit that netlist ``text`` describes.
+
+    Raises ``ValueError`` for a malformed netlist. An error in a row,
+    including a gate that the ``Circuit`` refuses, is prefixed
+    ``netlist line N:`` with the 1-based number of the earliest bad row. A
+    missing ``lines`` row or a missing role has no row to name.
+    """
+    rows = text.splitlines()
+    header = _Header()
+    read = dict.fromkeys(rows)
+    try:
+        for raw in read:
+            read[raw] = header.read(raw)
+    except ValueError:
+        _raise_earliest_error(rows)
+    marks = list(map(read.__getitem__, rows))
+    # A repeated lines or role row is an error at the repeat, which the
+    # pass over distinct rows cannot see.
+    if marks.count(_HEADER) != header.rows:
+        _raise_earliest_error(rows)
+    width = header.width
     if width is None:
         raise ValueError("netlist has no 'lines' statement")
+    roles = header.roles
     if sorted(roles) != list(range(1, width + 1)):
         missing = sorted(set(range(1, width + 1)) - set(roles))
         if missing:
             raise ValueError(f"missing role statements for lines {missing}")
         raise ValueError(f"role statements outside 1..{width}")
-    return Circuit(
-        width=width,
-        gates=tuple(gates),
-        roles=tuple(roles[i] for i in range(1, width + 1)),
-    )
+    try:
+        return Circuit(
+            width=width,
+            gates=tuple(filter(None, marks)),
+            roles=tuple(roles[i] for i in range(1, width + 1)),
+        )
+    except ValueError as exc:
+        # The header was checked as it was read, so a gate failed: the
+        # earliest in file order, as Circuit names the earliest gate.
+        for lineno, raw in enumerate(rows, start=1):
+            gate = read[raw]
+            if gate:
+                try:
+                    Circuit(width, (gate,))
+                except ValueError:
+                    raise ValueError(f"netlist line {lineno}: {exc}") from None
+        raise

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -173,6 +174,38 @@ def test_gate_lines_must_be_integers():
     assert all(type(l) is int for g in c.gates for l in g.lines)
     assert c.gates == (fred(1, 2, 3), ckswap((3,), 1, 2), fred(1, 2, 3))
     assert read_netlist(write_netlist(c)) == c
+
+
+# VTOF and FRED gates take a straight-line validation pass; every line
+# position must still be checked by it.
+_PRIMITIVE_KINDS = pytest.mark.parametrize("kind", [GateKind.VTOF, GateKind.FRED])
+
+
+@_PRIMITIVE_KINDS
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ((0, 2, 3), "lines are 1-based"),
+        ((1, 0, 3), "lines are 1-based"),
+        ((1, 2, 0), "lines are 1-based"),
+        ((1, 1, 3), "gate lines must be distinct"),
+        ((1, 2, 2), "gate lines must be distinct"),
+        ((1, 2, 1), "gate lines must be distinct"),
+    ],
+)
+def test_gate_validation_errors_at_each_position(kind, lines, message):
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got {lines}")):
+        Circuit(3, (vtof(1, 2, 3), GateInstance(kind, lines)))
+
+
+@_PRIMITIVE_KINDS
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad_type", [float, bool])
+def test_gate_lines_must_be_integers_at_each_position(kind, position, bad_type):
+    lines = [1, 2, 3]
+    lines[position] = bad_type(lines[position])
+    with pytest.raises(TypeError, match="lines must be integers"):
+        Circuit(3, (cnot(1, 2), GateInstance(kind, tuple(lines))))
 
 
 def test_circuit_roles_default_to_data():

@@ -3,11 +3,28 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from revsynth.circuit import Circuit, LineRole, cknot, ckswap, fred, vtof
+from revsynth import (
+    sample_permutation,
+    synth_conservative,
+    synth_even,
+    synth_general,
+)
+from revsynth.circuit import (
+    Circuit,
+    GateInstance,
+    GateKind,
+    LineRole,
+    cknot,
+    ckswap,
+    fred,
+    vtof,
+)
 from revsynth.netlist import read_netlist, write_netlist
+from revsynth.permutation import MAX_WIDTH, parse_decimal
 
 from conftest import random_primitive_circuit
 
@@ -128,6 +145,23 @@ _HEAD3 = "lines 3\nrole 1 data\nrole 2 data\nrole 3 data\n"
             "lines 2\nrole 1 data\nrole 2 data\nCKSWAP 1 2 1 3\n",
             r"netlist line 4: gate CKSWAP \(2, 1, 3\) exceeds width 2",
         ),
+        # A gate that only Circuit refuses names its row too: the earliest.
+        (_HEAD3 + "VTOF 0 1 2\n", r"netlist line 5: lines are 1-based, got \(0, 1, 2\)"),
+        (
+            _HEAD3 + "FRED 1 2 1\n",
+            r"netlist line 5: gate lines must be distinct, got \(1, 2, 1\)",
+        ),
+        (
+            _HEAD3 + "FRED 1 2 3\nFRED 1 2 3\nCKNOT 1 2 2\nVTOF 0 1 2\nCKNOT 1 2 2\n",
+            r"netlist line 7: gate lines must be distinct, got \(2, 2\)",
+        ),
+        (
+            "VTOF 1 2 5\n" + _HEAD3 + "VTOF 1 2 3\nVTOF 1 2 5\n",
+            r"netlist line 1: gate VTOF \(1, 2, 5\) exceeds width 3",
+        ),
+        # A repeated header row before a bad distinct row is the earlier error.
+        (_HEAD3 + "role 2 data\nVTOF 1 2 x\n", "netlist line 5: duplicate role for line 2"),
+        (_HEAD3 + "VTOF 1 2 3\nlines 3\nVTOF 1 2 3\n", "netlist line 6: duplicate 'lines'"),
     ],
 )
 def test_malformed_statements(bad: str, fragment: str):
@@ -147,3 +181,157 @@ def test_missing_pieces():
 def test_gate_lines_exceeding_width_rejected():
     with pytest.raises(ValueError, match="exceeds width"):
         read_netlist("lines 2\nrole 1 data\nrole 2 data\nVTOF 1 2 3\n")
+
+
+def _reference_read(text: str) -> Circuit:
+    """The row-by-row reader that ``read_netlist`` replaced, kept as the
+    reference for its errors, line numbers and circuits."""
+    width: int | None = None
+    roles: dict[int, LineRole] = {}
+    gates: list[GateInstance] = []
+    parsed: dict[str, GateInstance] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = parsed.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        tokens = stripped.split()
+        keyword = tokens[0]
+        try:
+            if keyword == "lines":
+                if width is not None:
+                    raise ValueError("duplicate 'lines' statement")
+                if len(tokens) != 2:
+                    raise ValueError(f"malformed statement {' '.join(tokens)!r}")
+                width = parse_decimal(tokens[1])
+                if not 1 <= width <= MAX_WIDTH:
+                    raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {width}")
+            elif keyword == "role":
+                if len(tokens) != 3:
+                    raise ValueError("role statement needs index and role name")
+                idx = parse_decimal(tokens[1])
+                if width is not None and not 1 <= idx <= width:
+                    raise ValueError(f"role index {idx} outside 1..{width}")
+                if tokens[2] not in {r.value for r in LineRole}:
+                    raise ValueError(f"unknown role {tokens[2]!r}")
+                if idx in roles:
+                    raise ValueError(f"duplicate role for line {idx}")
+                roles[idx] = LineRole(tokens[2])
+            elif keyword in ("VTOF", "FRED", "CKNOT", "CKSWAP"):
+                if keyword in ("VTOF", "FRED"):
+                    if len(tokens) != 4:
+                        raise ValueError(f"{keyword} needs exactly 3 line numbers")
+                    fields = tokens[1:]
+                else:
+                    if len(tokens) < 2:
+                        raise ValueError(f"malformed statement {' '.join(tokens)!r}")
+                    k = parse_decimal(tokens[1])
+                    wanted = k + (2 if keyword == "CKNOT" else 3)
+                    if len(tokens) != wanted + 1:
+                        raise ValueError(
+                            f"{keyword} with k={k} needs {wanted - 1} line numbers"
+                        )
+                    fields = tokens[2:]
+                lines = tuple(map(parse_decimal, fields))
+                if width is not None and max(lines) > width:
+                    raise ValueError(f"gate {keyword} {lines} exceeds width {width}")
+                gate = GateInstance(GateKind(keyword), lines)
+                gates.append(gate)
+                parsed[raw] = gate
+            else:
+                raise ValueError(f"unknown statement {keyword!r}")
+        except ValueError as exc:
+            raise ValueError(f"netlist line {lineno}: {exc}") from None
+    if width is None:
+        raise ValueError("netlist has no 'lines' statement")
+    if sorted(roles) != list(range(1, width + 1)):
+        missing = sorted(set(range(1, width + 1)) - set(roles))
+        if missing:
+            raise ValueError(f"missing role statements for lines {missing}")
+        raise ValueError(f"role statements outside 1..{width}")
+    return Circuit(
+        width=width,
+        gates=tuple(gates),
+        roles=tuple(roles[i] for i in range(1, width + 1)),
+    )
+
+
+def _duplicate_header(rows: list[str], width: int, rng: random.Random) -> None:
+    rows.insert(rng.randint(0, len(rows)), rows[rng.randint(0, width)])
+
+
+def _lines_after_gates(rows: list[str], width: int, rng: random.Random) -> None:
+    rows.insert(rng.randint(width + 1, len(rows)), rows.pop(0))
+
+
+def _gate_before_lines(rows: list[str], width: int, rng: random.Random) -> None:
+    # Sometimes a gate beyond the width, which only Circuit can refuse.
+    gate = rng.choice([rows[rng.randint(width + 1, len(rows) - 1)], f"FRED 1 2 {width + 1}"])
+    rows.insert(0, gate)
+    rows.insert(rng.randint(width + 2, len(rows)), gate)
+
+
+def _noise(rows: list[str], width: int, rng: random.Random) -> None:
+    for _ in range(rng.randint(1, 4)):
+        rows.insert(rng.randint(0, len(rows)), rng.choice(["", "   ", "# note", "  # x"]))
+    i = rng.randint(0, len(rows) - 1)
+    rows[i] += "  # trailing"
+
+
+def _corrupt_a_repeat(rows: list[str], width: int, rng: random.Random) -> None:
+    gate_rows = {r for r in rows if r.startswith(("VTOF", "FRED", "CKNOT", "CKSWAP"))}
+    repeated = sorted(r for r in gate_rows if rows.count(r) > 1)
+    if not repeated:
+        return
+    row = rng.choice(repeated)
+    i = rng.choice([i for i, r in enumerate(rows) if r == row])
+    keyword, *fields = row.split()
+    j = rng.randrange(len(fields))
+    fields[j] = rng.choice(["x", "0", "+1", "٣", fields[j - 1], str(width + 1)])
+    fields = rng.choice([fields, fields[:-1], fields + ["1"]])
+    rows[i] = " ".join([rng.choice([keyword, keyword.lower()]), *fields])
+
+
+_MUTATIONS = (
+    _duplicate_header, _lines_after_gates, _gate_before_lines, _noise, _corrupt_a_repeat,
+)
+
+
+def _outcome(read, text: str):
+    try:
+        return read(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_reader_matches_the_row_by_row_reference():
+    rng = random.Random(20)
+    bases = [
+        synth_general(sample_permutation(3, seed=2)),
+        synth_even(sample_permutation(3, "even", seed=2)),
+        synth_conservative(sample_permutation(4, "conservative", seed=2)),
+        golden_circuit(),
+    ]
+    seen = {"circuit": 0, "same error": 0, "row named": 0}
+    for base in bases:
+        for _ in range(60):
+            rows = write_netlist(base).splitlines()
+            for mutate in rng.sample(_MUTATIONS, rng.randint(1, 3)):
+                mutate(rows, base.width, rng)
+            text = rng.choice(["\n", "\r\n"]).join(rows) + "\n"
+            want = _outcome(_reference_read, text)
+            got = _outcome(read_netlist, text)
+            if got == want:
+                seen["circuit" if isinstance(want, Circuit) else "same error"] += 1
+                continue
+            # The one allowed difference: a gate that Circuit refuses now
+            # carries the number of its row.
+            assert isinstance(want, tuple) and isinstance(got, tuple), text
+            assert got[0] is want[0] is ValueError, text
+            assert not want[1].startswith("netlist line"), text
+            assert re.fullmatch(r"netlist line \d+: " + re.escape(want[1]), got[1]), text
+            seen["row named"] += 1
+    assert min(seen.values()) >= 10, seen

@@ -24,8 +24,8 @@ handful of bignum operations regardless of width. The kernel unpacks each
 gate as ``(kind, lines)``, compares the kind against module-level aliases
 of the enum members (VTOF first), and reads each mask that the gate
 rewrites into a local once, so no per-gate attribute or enum-class lookup
-and no second read of a mask runs in the loop. Masks are read back with one binary-string row per line,
-transposed into per-state integers.
+and no second read of a mask runs in the loop. Masks are read back with
+one binary-string row per line, transposed into per-state integers.
 
 The gate factories only construct. A ``Circuit`` validates each distinct
 gate once and records whether all of them are primitive, so

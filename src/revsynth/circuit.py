@@ -27,10 +27,10 @@ rewrites into a local once, so no per-gate attribute or enum-class lookup
 and no second read of a mask runs in the loop. Masks are read back with
 one binary-string row per line, transposed into per-state integers.
 
-The gate factories only construct. A ``Circuit`` validates each distinct
-gate once and records whether all of them are primitive, so
-``primitive_gate_count`` and ``is_primitive`` are O(1) for the primitive
-netlists synthesis emits.
+The gate factories only construct. A ``Circuit`` keeps its distinct gates
+in first-seen order (``distinct_gates``), validates each once and records
+whether all are primitive, so ``primitive_gate_count`` and
+``is_primitive`` are O(1) for the primitive netlists synthesis emits.
 """
 
 from __future__ import annotations
@@ -175,16 +175,20 @@ class Circuit:
     at the stated constant and are restored to it; ``borrowed`` lines may
     start at either value and are restored to it.
 
-    Construction validates each distinct gate once (``GateInstance.validate``
-    and lines within ``width``); when several gates are bad, the error
-    names the earliest in list order. The same pass records
-    whether every gate is primitive, which makes the primitive count of a
-    primitive netlist its length.
+    Construction keeps the distinct gates in first-seen order as
+    ``distinct_gates`` (derived, so outside ``==``, ``hash`` and ``repr``)
+    and validates each once (``GateInstance.validate`` and lines within
+    ``width``); when several gates are bad, the error names the earliest.
+    The same pass records whether every gate is primitive, which makes
+    the primitive count of a primitive netlist its length.
     """
 
     width: int
     gates: tuple[GateInstance, ...]
     roles: tuple[LineRole, ...] = field(default=())
+    distinct_gates: tuple[GateInstance, ...] = field(
+        init=False, repr=False, compare=False
+    )
     _all_primitive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -202,8 +206,9 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         # Long gate lists repeat a few distinct gates; dict.fromkeys keeps
         # first-seen order, so the earliest bad gate is the one reported.
+        distinct = tuple(dict.fromkeys(self.gates))
         all_primitive = True
-        for g in dict.fromkeys(self.gates):
+        for g in distinct:
             g.validate()
             kind, lines = g
             if max(lines) > self.width:
@@ -212,6 +217,7 @@ class Circuit:
                 )
             if kind is not VTOF and kind is not FRED:
                 all_primitive = False
+        object.__setattr__(self, "distinct_gates", distinct)
         object.__setattr__(self, "_all_primitive", all_primitive)
 
     def lines_with_role(self, role: LineRole) -> tuple[int, ...]:

@@ -161,13 +161,13 @@ def cmd_embedded_parity(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     p = sample_permutation(args.width, args.kind, args.seed)
     if args.json:
-        text = json.dumps({"width": p.width, "mapping": list(p.mapping)})
+        text = json.dumps({"width": p.width, "mapping": list(p.mapping)}) + "\n"
     else:
         text = format_permutation(p)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 

@@ -10,16 +10,16 @@ S(k) = 2 S(ceil(k/2)) + 2 S(floor(k/2) + 1), and 5, 15, 17, 57, 119, 219,
 last two controls into a pair with the ancilla and adds a C^(k-2)SWAP tail.
 Every CKSWAP, k=0 and k=1 included, goes through that one lowering, which
 is built once per (k, ancilla value) on canonical lines and relabelled
-onto each gate's lines (``fredkin.relabelled_ckswap``).
+onto each gate's lines.
 Helper lines are chosen deterministically: among lines a gate does not
 touch, prefer data, then borrowed, then ancilla, and within a role class
 take the highest index first. That rule keeps full-width gates on the
 designated extra line while narrower gates borrow nearby data lines.
 ``free_lines`` defines the rule; ``expand_macros`` sorts the lines into
 that order once per call and only filters out each gate's own lines. It
-also looks up ``toffoli.synth_cknot`` and ``fredkin.relabelled_ckswap``
-once per call, through their modules, so a wrapper installed on either
-module is the one that runs.
+lowers each of the circuit's ``distinct_gates`` once, with
+``toffoli.synth_cknot`` or ``fredkin.ckswap_fred_with_ancilla`` looked up
+once per call in their modules, so a wrapper installed there runs.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _fred_expander(circuit: Circuit):
     roles = circuit.roles
     anc0 = [l for l in order if roles[l - 1] is LineRole.ANCILLA0]
     anc1 = [l for l in order if roles[l - 1] is LineRole.ANCILLA1]
-    relabelled_ckswap = fredkin.relabelled_ckswap
+    lower_ckswap = fredkin.ckswap_fred_with_ancilla
 
     def expand(gate: GateInstance) -> tuple[GateInstance, ...]:
         kind, lines = gate
@@ -107,7 +107,7 @@ def _fred_expander(circuit: Circuit):
             raise InsufficientLinesError(
                 f"CKSWAP with {k} controls needs a free ancilla line to expand"
             )
-        return relabelled_ckswap(gate.controls, gate.targets, ancilla, value)
+        return lower_ckswap(gate.controls, gate.targets, ancilla, value)
 
     return expand
 
@@ -120,10 +120,10 @@ def expand_macros(circuit: Circuit, alphabet: str) -> Circuit:
     whose ancilla lines hold their declared values (helper constructions
     consume those known values); borrowed-line independence is preserved.
 
-    Each distinct macro gate is lowered once per call and its block reused
-    for every repeat: the lowering depends only on the gate and on the
-    circuit's width and roles, which are fixed within the call, so the
-    helper order is computed once per call too.
+    Each entry of ``circuit.distinct_gates`` is lowered once per call and
+    its block reused for every repeat: the lowering depends only on the
+    gate and on the circuit's width and roles, which are fixed within the
+    call, so the helper order is computed once per call too.
     """
     if alphabet == "VTOF":
         expander = _vtof_expander(circuit)
@@ -131,11 +131,8 @@ def expand_macros(circuit: Circuit, alphabet: str) -> Circuit:
         expander = _fred_expander(circuit)
     else:
         raise ValueError(f"unknown alphabet {alphabet!r}")
-    lowered: dict[GateInstance, tuple[GateInstance, ...]] = {}
+    lowered = {gate: expander(gate) for gate in circuit.distinct_gates}
     gates: list[GateInstance] = []
     for gate in circuit.gates:
-        block = lowered.get(gate)
-        if block is None:
-            block = lowered[gate] = expander(gate)
-        gates.extend(block)
+        gates.extend(lowered[gate])
     return Circuit(circuit.width, tuple(gates), roles=circuit.roles)

@@ -18,7 +18,8 @@ count. A C^kSWAP against a 0 ancilla is 10, 12, 42, 102, 162, 282 gates at
 k=3..8: the size grows about as k^2, where peeling one control at a time
 grew 4x per control. Against a 1 ancilla the last two controls fold into
 the pair: 15, 17, 57, 119, 219, 401 gates at k=3..8,
-T1(k) = T1(k-2) + S(k-2) + 2 from k=4.
+T1(k) = T1(k-2) + S(k-2) + 2 from k=4. ``ckswap_fred_with_ancilla`` builds
+each (k, ancilla value) once on canonical lines and relabels it per call.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _merged_ckswap(
 def ckswap_fred_with_ancilla(
     controls: tuple[int, ...],
     targets: tuple[int, int],
-    ancilla_line: int,
+    ancilla_line: int | None,
     ancilla_value: int,
 ) -> tuple[GateInstance, ...]:
     """Lower a multi-controlled swap to FRED gates against one ancilla
@@ -151,76 +152,67 @@ def ckswap_fred_with_ancilla(
     162, 282 against 0; 5, 15, 17, 57, 119, 219, 401 against 1,
     T1(k) = T1(k-2) + S(k-2) + 2 from k=4 (T1(3) = S(2) + T1(2); at k=2
     the extra fire gives 3 + 1 + 1).
+
+    The lowering treats its lines as labels only, so it is built once per
+    (k, ancilla value) on canonical lines and each call renames the lines
+    of that block's few distinct gates, as interned FREDs. k=1 is a bare
+    FRED that never reads the ancilla, so ``ancilla_line`` may be ``None``
+    there.
     """
-    k = len(controls)
-    if k == 1:
-        return (fred(controls[0], targets[0], targets[1]),)
-    if k == 0 and ancilla_value == 0:
-        raise RangeError("an unconditional swap needs a 1-valued ancilla")
-    fire = fred(ancilla_line, targets[0], targets[1])
-    if k == 0:
-        return (fire,)
-    if k >= 4 and ancilla_value == 1:
-        head, (u, v) = controls[:-2], controls[-2:]
-        fold = fred(u, v, ancilla_line)
-        return (
-            *ckswap_fred_with_ancilla(head, targets, ancilla_line, 1),
-            fold,
-            *_merged_ckswap(head, targets, (u, ancilla_line)),
-            fold,
-        )
-    park = fred(controls[0], controls[1], ancilla_line)
-    if k == 2:
-        # A 1-valued park fires on not (c1 and not c2); one more fire
-        # leaves c1 and not c2, as the unparked k=3 form fires.
-        gates = (park, fire, park) + (fire,) * ancilla_value
-    elif k >= 4:
-        pair = (controls[-1], controls[1])
-        inner = (ancilla_line,) + controls[2:-1]
-        gates = (park, *_merged_ckswap(inner, targets, pair), park)
-    else:
-        pair = (controls[-1], ancilla_line)
-        gates = tuple(_merged_ckswap(controls[:-1], targets, pair))
-    if ancilla_value == 0:
-        return gates
-    return gates + ckswap_fred_with_ancilla(controls[:-1], targets, ancilla_line, 1)
+    triples, order = _ckswap_shape(len(controls), ancilla_value)
+    lines = (*controls, *targets, ancilla_line)
+    distinct = [_interned_fred(lines[c], lines[a], lines[b]) for c, a, b in triples]
+    return tuple(map(distinct.__getitem__, order))
 
 
 @functools.cache
 def _ckswap_shape(
     k: int, ancilla_value: int
 ) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-    """The lowering for (k, ancilla value) on canonical lines 1..k+3
-    (controls, targets, ancilla): its distinct line triples as 0-based
-    positions in that line list, and the order in which they play. Keys are
-    bounded by the width cap and values are immutable, so one cache serves
-    the whole process."""
-    canonical = ckswap_fred_with_ancilla(
-        tuple(range(1, k + 1)), (k + 1, k + 2), k + 3, ancilla_value
-    )
+    """The lowering that ``ckswap_fred_with_ancilla`` describes, built for
+    (k, ancilla value) on canonical lines 1..k+3 (controls, targets,
+    ancilla): its distinct line triples as 0-based positions in that line
+    list, and the order in which they play. A 1-valued tail recurses
+    through the public name, so it is relabelled from its own shape. Keys
+    are bounded by the width cap and values are immutable, so one cache
+    serves the whole process."""
+    controls = tuple(range(1, k + 1))
+    targets = (k + 1, k + 2)
+    ancilla_line = k + 3
+    fire = fred(ancilla_line, targets[0], targets[1])
+    if k == 1:
+        gates = (fred(controls[0], targets[0], targets[1]),)
+    elif k == 0:
+        if ancilla_value == 0:
+            raise RangeError("an unconditional swap needs a 1-valued ancilla")
+        gates = (fire,)
+    elif k >= 4 and ancilla_value == 1:
+        head, (u, v) = controls[:-2], controls[-2:]
+        fold = fred(u, v, ancilla_line)
+        gates = (
+            *ckswap_fred_with_ancilla(head, targets, ancilla_line, 1),
+            fold,
+            *_merged_ckswap(head, targets, (u, ancilla_line)),
+            fold,
+        )
+    else:
+        park = fred(controls[0], controls[1], ancilla_line)
+        if k == 2:
+            # A 1-valued park fires on not (c1 and not c2); one more fire
+            # leaves c1 and not c2, as the unparked k=3 form fires.
+            gates = (park, fire, park) + (fire,) * ancilla_value
+        elif k >= 4:
+            pair = (controls[-1], controls[1])
+            inner = (ancilla_line,) + controls[2:-1]
+            gates = (park, *_merged_ckswap(inner, targets, pair), park)
+        else:
+            pair = (controls[-1], ancilla_line)
+            gates = tuple(_merged_ckswap(controls[:-1], targets, pair))
+        if ancilla_value == 1:
+            gates += ckswap_fred_with_ancilla(controls[:-1], targets, ancilla_line, 1)
     slots: dict[tuple[int, ...], int] = {}
-    order = tuple(slots.setdefault(g.lines, len(slots)) for g in canonical)
+    order = tuple(slots.setdefault(g.lines, len(slots)) for g in gates)
     return tuple((c - 1, a - 1, b - 1) for c, a, b in slots), order
-
-
-def relabelled_ckswap(
-    controls: tuple[int, ...],
-    targets: tuple[int, int],
-    ancilla_line: int | None,
-    ancilla_value: int,
-) -> tuple[GateInstance, ...]:
-    """``ckswap_fred_with_ancilla`` on these lines, from a lowering built
-    once per (k, ancilla value) and relabelled.
-
-    The lowering treats its lines as labels only, so the gates for any
-    line choice are the canonical ones with each line renamed. Each call
-    looks up only the block's few distinct gates, as interned FREDs. k=1
-    never reads the ancilla, so ``ancilla_line`` may be ``None`` there.
-    """
-    triples, order = _ckswap_shape(len(controls), ancilla_value)
-    lines = (*controls, *targets, ancilla_line)
-    distinct = [_interned_fred(lines[c], lines[a], lines[b]) for c, a, b in triples]
-    return tuple(map(distinct.__getitem__, order))
 
 
 def synth_ckswap(k: int) -> Circuit:

@@ -14,7 +14,8 @@ Gates apply in file order. ``write_netlist`` followed by ``read_netlist``
 reproduces the circuit exactly.
 
 A netlist repeats a few distinct gates many times, so ``write_netlist``
-formats each distinct gate once and ``read_netlist`` reads each distinct
+formats each entry of the circuit's ``distinct_gates`` once and
+``read_netlist`` reads each distinct
 row once, in order of first appearance. That order is file order for every
 row that sets the width or a role, because a repeated ``lines`` or ``role``
 row is always an error; what repeats are gate, blank and comment rows,
@@ -44,12 +45,8 @@ def write_netlist(circuit: Circuit) -> str:
     out = [f"lines {circuit.width}"]
     for idx, role in enumerate(circuit.roles, start=1):
         out.append(f"role {idx} {role.value}")
-    texts: dict[GateInstance, str] = {}
-    for g in circuit.gates:
-        line = texts.get(g)
-        if line is None:
-            line = texts[g] = _gate_text(g)
-        out.append(line)
+    texts = {g: _gate_text(g) for g in circuit.distinct_gates}
+    out.extend(map(texts.__getitem__, circuit.gates))
     return "\n".join(out) + "\n"
 
 

@@ -286,6 +286,21 @@ def test_primitive_gate_count_with_repeats():
     assert mixed != primitive
 
 
+def test_distinct_gates_in_first_seen_order():
+    v, f, m, s = vtof(1, 2, 3), fred(3, 1, 4), cknot((1, 2), 4), ckswap((2,), 1, 3)
+    c = Circuit(4, (v, m, v, f, m, s, f, v, s), roles=("data",) * 3 + ("ancilla1",))
+    assert c.distinct_gates == (v, m, f, s)
+    assert Circuit(4, ()).distinct_gates == ()
+    # Derived from the gates, so no part of equality, hashing or repr.
+    same = Circuit(4, c.gates, roles=c.roles)
+    object.__setattr__(same, "distinct_gates", ())
+    assert same == c and hash(same) == hash(c) and repr(same) == repr(c)
+    assert "distinct_gates" not in repr(c)
+    back = read_netlist(write_netlist(c))
+    assert back == c
+    assert back.distinct_gates == c.distinct_gates
+
+
 def test_initial_line_masks_frozen_width_two():
     # Bit s of masks[l] is line l's value in state s: line 1 is the high
     # bit (states 2 and 3), line 2 the low bit (states 1 and 3).

@@ -268,6 +268,21 @@ def test_sample_kind_and_out_file(tmp_path, capsys):
     assert p == sample_permutation(4, "even", 2)
 
 
+def test_sample_writes_the_same_bytes_to_stdout_and_file(tmp_path, capsys):
+    out = tmp_path / "p.perm"
+    assert main(["sample", "--width", "3", "--seed", "5"]) == 0
+    assert main(["sample", "--width", "3", "--seed", "5", "--out", str(out)]) == 0
+    text = format_permutation(sample_permutation(3, "any", 5))
+    assert capsys.readouterr().out == text
+    assert out.read_text() == text
+    argv = ["sample", "--width", "3", "--seed", "5", "--json"]
+    assert main(argv) == 0
+    assert main(argv + ["--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("}\n")
+    assert out.read_text() == text
+
+
 def test_sample_json(capsys):
     assert main(["sample", "--width", "3", "--seed", "1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

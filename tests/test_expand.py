@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from revsynth import expand
+from revsynth import expand, fredkin, toffoli
 from revsynth.circuit import (
     Circuit,
     GateInstance,
@@ -258,3 +258,51 @@ def test_each_distinct_gate_is_validated_once_per_circuit(
     netlist = synth(sample_permutation(width, kind, seed=3))
     (macro,) = macros
     assert len(calls) == len(set(macro.gates)) + len(set(netlist.gates))
+
+
+@pytest.mark.parametrize(
+    "synth, kind, width, alphabet, owner, name, macro_kind, gate_lines",
+    [
+        (synth_general, "any", 4, "VTOF", toffoli, "synth_cknot",
+         GateKind.CKNOT, lambda k, lines: lines[:k + 1]),
+        (synth_conservative, "conservative", 6, "FRED", fredkin,
+         "ckswap_fred_with_ancilla", GateKind.CKSWAP,
+         lambda controls, targets, *_: (*controls, *targets)),
+    ],
+)
+def test_each_distinct_macro_gate_is_lowered_once(
+    synth, kind, width, alphabet, owner, name, macro_kind, gate_lines,
+    monkeypatch,
+):
+    # The lowering is looked up through its module and called once per
+    # distinct macro gate of the circuit, in first-seen order; calls that a
+    # lowering makes to itself are not counted.
+    macros = []
+    real_expand = expand.expand_macros
+
+    def keep(macro, alphabet):
+        macros.append(macro)
+        return real_expand(macro, alphabet)
+
+    monkeypatch.setattr(expand, "expand_macros", keep)
+    want = synth(sample_permutation(width, kind, seed=3))
+    (macro,) = macros
+    assert len(macro.gates) > len(macro.distinct_gates)
+    lowered = []
+    active = []
+    real_lower = getattr(owner, name)
+
+    def spy(*args):
+        if not active:
+            lowered.append(gate_lines(*args))
+        active.append(args)
+        try:
+            return real_lower(*args)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(owner, name, spy)
+    assert real_expand(macro, alphabet) == want
+    assert lowered == [
+        g.lines for g in macro.distinct_gates if g.kind is macro_kind
+    ]

@@ -27,7 +27,6 @@ from revsynth.fredkin import (
     _transposition_gates,
     ckswap_fred_with_ancilla,
     conservative_stage_plan,
-    relabelled_ckswap,
     synth_ckswap,
     synth_conservative,
 )
@@ -143,25 +142,29 @@ def test_synth_ckswap_exact_with_frozen_counts(k: int, lines: int, gate_count: i
 
 @pytest.mark.parametrize("value", [0, 1])
 @pytest.mark.parametrize("k", range(9))
-def test_relabelled_ckswap_is_the_direct_lowering(k: int, value: int):
-    # Two scattered, non-ascending line choices per (k, value): the first
-    # builds the shape (or finds it from an earlier test), the second reuses
-    # it. Each must equal a direct call gate for gate.
+def test_ckswap_lowering_is_the_canonical_one_relabelled(k: int, value: int):
+    # Two scattered, non-ascending line choices per (k, value): each must
+    # equal the lowering on canonical lines 1..k+3 (controls, targets,
+    # ancilla) with every line renamed, gate for gate.
+    canonical = (tuple(range(1, k + 1)), (k + 1, k + 2), k + 3, value)
     rng = random.Random(100 * k + value)
     for _ in range(2):
         lines = rng.sample(range(1, 17), k + 3)
         controls, targets, ancilla = tuple(lines[:k]), tuple(lines[k:k + 2]), lines[-1]
         if k == 0 and value == 0:
             with pytest.raises(RangeError):
-                ckswap_fred_with_ancilla(controls, targets, ancilla, value)
+                ckswap_fred_with_ancilla(*canonical)
             with pytest.raises(RangeError):
-                relabelled_ckswap(controls, targets, ancilla, value)
+                ckswap_fred_with_ancilla(controls, targets, ancilla, value)
             continue
-        direct = ckswap_fred_with_ancilla(controls, targets, ancilla, value)
-        assert relabelled_ckswap(controls, targets, ancilla, value) == direct
+        renamed = tuple(
+            fred(*(lines[l - 1] for l in g.lines))
+            for g in ckswap_fred_with_ancilla(*canonical)
+        )
+        assert ckswap_fred_with_ancilla(controls, targets, ancilla, value) == renamed
     if k == 1:
         # A bare FRED reads no ancilla line.
-        assert relabelled_ckswap((9,), (4, 2), None, value) == (fred(9, 4, 2),)
+        assert ckswap_fred_with_ancilla((9,), (4, 2), None, value) == (fred(9, 4, 2),)
 
 
 ONE_ANCILLA_SIZES = {0: 1, 1: 1, 2: 5, 3: 15, 4: 17, 5: 57, 6: 119, 7: 219, 8: 401}

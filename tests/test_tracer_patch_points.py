@@ -70,5 +70,8 @@ def test_tracer_installs_and_restores(monkeypatch):
             assert vars(owner).get(name) is value, (owner, name)
     assert tracer.counts["toffoli.cknot_calls"] > 0
     assert tracer.counts["fredkin.macro_gates"] > 0
+    # The untraced runs above cached the C^kSWAP shapes; expansion must
+    # still call the traced lowering once per distinct CKSWAP.
+    assert tracer.counts["fredkin.lower_calls"] > 0
     assert tracer.counts["expand.macro_gates"] > 0
     assert tracer.counts["netlist.bytes"] == sum(map(len, untraced))

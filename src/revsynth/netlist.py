@@ -15,13 +15,13 @@ reproduces the circuit exactly.
 
 A netlist repeats a few distinct gates many times, so ``write_netlist``
 formats each entry of the circuit's ``distinct_gates`` once and
-``read_netlist`` reads each distinct
-row once, in order of first appearance. That order is file order for every
-row that sets the width or a role, because a repeated ``lines`` or ``role``
-row is always an error; what repeats are gate, blank and comment rows,
-which change nothing. The rows then become gates in one pass through the
-table of rows read. On any error the rows are read again one by one in
-file order, so the error names the earliest bad row.
+``read_netlist`` reads each distinct row once, in order of first
+appearance. That order is file order for every row that sets the width or
+a role, because a repeated ``lines`` or ``role`` row is always an error;
+what repeats are gate, blank and comment rows, which change nothing. The
+rows then become gates in one pass through the table of rows read. On any
+error the rows are read again one by one in file order, so the error names
+the earliest bad row.
 """
 
 from __future__ import annotations

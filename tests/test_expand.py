@@ -269,6 +269,7 @@ def test_each_distinct_gate_is_validated_once_per_circuit(
          "ckswap_fred_with_ancilla", GateKind.CKSWAP,
          lambda controls, targets, *_: (*controls, *targets)),
     ],
+    ids=["VTOF", "FRED"],
 )
 def test_each_distinct_macro_gate_is_lowered_once(
     synth, kind, width, alphabet, owner, name, macro_kind, gate_lines,

@@ -12,7 +12,11 @@ Two primitive gates exist, each on three distinct lines:
 
 Two macro gates name the multi-controlled versions: ``CKNOT`` (k controls,
 one target; ``k=0`` is NOT, ``k=1`` is CNOT) and ``CKSWAP`` (k controls, two
-targets; ``k=0`` is SWAP, ``k=1`` has FRED semantics).
+targets; ``k=0`` is SWAP, ``k=1`` has FRED semantics). A CKNOT control may
+be negated, written as its negative line number: ``cknot((-1, 2), 3)``
+flips line 3 when line 1 is 0 and line 2 is 1. The sign is part of the
+gate's lines, so it takes part in equality, hashing and the netlist row.
+No other line of any gate may be negative.
 
 Simulation is always exhaustive over all valid states: all ``2**width``
 states for ``circuit_to_permutation``, and for verification every state
@@ -70,7 +74,8 @@ class GateInstance(NamedTuple):
 
     Line tuple layout by kind: ``VTOF (control, invert, target)``;
     ``FRED (control, t1, t2)``; ``CKNOT (c1, ..., ck, target)``;
-    ``CKSWAP (c1, ..., ck, t1, t2)``.
+    ``CKSWAP (c1, ..., ck, t1, t2)``. A negative CKNOT control ``-l``
+    fires when line ``l`` is 0.
     """
 
     kind: GateKind
@@ -88,6 +93,7 @@ class GateInstance(NamedTuple):
 
     @property
     def controls(self) -> tuple[int, ...]:
+        """The control lines, a negated CKNOT control as its negative."""
         kind, lines = self
         if kind is CKNOT:
             return lines[:-1]
@@ -104,7 +110,8 @@ class GateInstance(NamedTuple):
 
     def validate(self) -> None:
         """Check a known kind, its line count and distinct 1-based integer
-        lines; the width bound is checked by the ``Circuit``."""
+        lines, where only a CKNOT control may be negative (its absolute
+        value is the line); the width bound is checked by the ``Circuit``."""
         kind, lines = self
         n = len(lines)
         if (kind is VTOF or kind is FRED) and n == 3:
@@ -132,9 +139,14 @@ class GateInstance(NamedTuple):
         # rejects and fail later in simulation.
         if not all(type(l) is int for l in lines):
             raise TypeError(f"gate lines must be integers, got {lines}")
-        if len(set(lines)) != n:
+        plain = (*map(abs, lines[:-1]), lines[-1]) if kind is CKNOT else lines
+        if len(set(plain)) != n:
             raise ValueError(f"gate lines must be distinct, got {lines}")
-        if min(lines) < 1:
+        if min(plain) < 1:
+            if min(plain) < 0:
+                raise ValueError(
+                    f"only a CKNOT control may be negative, got {kind.value} {lines}"
+                )
             raise ValueError(f"lines are 1-based, got {lines}")
 
 
@@ -177,8 +189,9 @@ class Circuit:
 
     Construction keeps the distinct gates in first-seen order as
     ``distinct_gates`` (derived, so outside ``==``, ``hash`` and ``repr``)
-    and validates each once (``GateInstance.validate`` and lines within
-    ``width``); when several gates are bad, the error names the earliest.
+    and validates each once (``GateInstance.validate`` and lines, negated
+    controls by their absolute value, within ``width``); when several
+    gates are bad, the error names the earliest.
     The same pass records whether every gate is primitive, which makes
     the primitive count of a primitive netlist its length.
     """
@@ -211,7 +224,8 @@ class Circuit:
         for g in distinct:
             g.validate()
             kind, lines = g
-            if max(lines) > self.width:
+            top = max(map(abs, lines)) if kind is CKNOT else max(lines)
+            if top > self.width:
                 raise ValueError(
                     f"gate {kind.value} {lines} exceeds width {self.width}"
                 )
@@ -260,7 +274,8 @@ def apply_gate(gate: GateInstance, state: int, width: int) -> int:
         return state
     if kind is CKNOT:
         *cs, t = lines
-        if all(bit_of(state, c, width) for c in cs):
+        # A negative control -c fires when line c is 0.
+        if all(bit_of(state, abs(c), width) == (c > 0) for c in cs):
             state ^= 1 << (width - t)
         return state
     *cs, a, b = lines
@@ -315,7 +330,8 @@ def apply_gates_bitsliced(
             *cs, t = lines
             prod = all_ones
             for c in cs:
-                prod &= masks[c]
+                # A negative control -c fires where line c is 0.
+                prod &= masks[c] if c > 0 else masks[-c] ^ all_ones
             masks[t] ^= prod
         else:
             *cs, a, b = lines

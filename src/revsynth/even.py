@@ -6,11 +6,16 @@ C^(n-2)NOT conjugated by a short gate list ``sigma`` (Shende, Prasad,
 Markov and Hayes, *Synthesis of reversible logic circuits*, IEEE TCAD
 2003): the C^(n-2)NOT on controls 1..n-2 and target n swaps T-3 with T-2
 and T-1 with T (T = 2**n - 1), and ``toffoli.conjugation_gates`` with
-pivot lines n, n-1, n-2 sends a, b onto T-1, T and c, d onto T-3, T-2.
-Line n-1 is the one line that C^(n-2)NOT leaves free, so macro expansion
-borrows it and the width never grows. ``toffoli.append_conjugation``
-leaves out the tail of ``sigma`` that commutes with the C^(n-2)NOT and
-cancels equal gates where pairs meet, before expansion.
+pivot lines n, n-1, n-2 sends a, b onto T-1, T and c, d onto T-3, T-2,
+up to the NOT layer it returns as ``flips``. Those NOTs are not emitted:
+each one on a control negates that control of the pair's C^(n-2)NOT
+(``toffoli.negated_centre``), and the others cancel. When a^b^c^d is
+nonzero sigma ends with three Toffolis on lines n-2..n, each with a
+negated control. Line n-1 is the one line that C^(n-2)NOT leaves free,
+so macro expansion borrows it and the width never grows.
+``toffoli.append_conjugation`` leaves out the tail of ``sigma`` that
+commutes with the C^(n-2)NOT and cancels equal gates where pairs meet,
+before expansion.
 
 The paper's own generator argument survives as line-exact fragments that
 ``synth_even`` does not call: ``synth_pair`` realizes each adjacent pair
@@ -28,7 +33,9 @@ from .errors import OddPermutationError, WidthOutOfRangeError
 # Unused here, but perfbench/tracer.py patches this binding and requires it.
 from .generators import decompose_generators  # noqa: F401
 from .permutation import MAX_WIDTH, Permutation, disjoint_pairs
-from .toffoli import append_conjugation, conjugation_gates, increment
+from .toffoli import (
+    append_conjugation, conjugation_gates, increment, negated_centre,
+)
 
 EVEN_MIN_WIDTH = 3
 
@@ -90,8 +97,9 @@ def synth_even(p: Permutation) -> Circuit:
     """Compile an even permutation to a VTOF netlist on exactly its own
     width: no ancilla, no borrowed lines.
 
-    Each disjoint pair becomes ``sigma``, the C^(n-2)NOT and ``sigma``
-    reversed (``append_conjugation``), less the tail of ``sigma`` that
+    Each disjoint pair becomes ``sigma``, the C^(n-2)NOT with the controls
+    that sigma's NOT layer flips negated, and ``sigma`` reversed
+    (``append_conjugation``), less the tail of ``sigma`` that
     commutes with the C^(n-2)NOT and the equal gates that cancel where
     pairs meet. Macro expansion then lowers the rest, borrowing free data
     lines.
@@ -103,11 +111,11 @@ def synth_even(p: Permutation) -> Circuit:
         )
     if not p.is_even():
         raise OddPermutationError("permutation is odd")
-    centre = cknot(range(1, n - 1), n)
+    controls = range(1, n - 1)
     gates: list[GateInstance] = []
     for (a, b), (c, d) in disjoint_pairs(p.mapping):
-        sigma = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
-        append_conjugation(gates, sigma, centre)
+        sigma, flips = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
+        append_conjugation(gates, sigma, negated_centre(controls, n, flips, n))
     macro = Circuit(n, tuple(gates))
     from .expand import expand_macros
 

@@ -1,8 +1,8 @@
 """Macro expansion: lower CKNOT/CKSWAP macro gates to a primitive alphabet.
 
-The VTOF alphabet lowers CKNOT macros through the recursive helper-line
-construction; the FRED alphabet lowers CKSWAP macros through one
-borrowed-pair lowering whose controls split in half
+The VTOF alphabet lowers CKNOT macros, negated controls included, through
+the recursive helper-line construction; the FRED alphabet lowers CKSWAP
+macros through one borrowed-pair lowering whose controls split in half
 (``fredkin.ckswap_fred_with_ancilla``): 3, 10, 12, 42, 102, 162, 282 gates
 at k=2..8 against a 0 ancilla, 2 + S(k-2) from k=4 with
 S(k) = 2 S(ceil(k/2)) + 2 S(floor(k/2) + 1), and 5, 15, 17, 57, 119, 219,
@@ -52,8 +52,9 @@ def _unused(order: list[int], lines: tuple[int, ...]) -> list[int]:
 
 def free_lines(circuit: Circuit, gate: GateInstance) -> list[int]:
     """Lines not touched by ``gate``, in helper-preference order (data
-    before borrowed before ancilla; highest index first within a role)."""
-    return _unused(_preference_order(circuit), gate.lines)
+    before borrowed before ancilla; highest index first within a role).
+    A negated CKNOT control touches its line."""
+    return _unused(_preference_order(circuit), tuple(map(abs, gate.lines)))
 
 
 def _vtof_expander(circuit: Circuit):
@@ -68,7 +69,9 @@ def _vtof_expander(circuit: Circuit):
             raise UnexpandableMacroError(
                 f"cannot expand {kind.value} over the VTOF alphabet"
             )
-        return synth_cknot(gate.k, lines + tuple(_unused(order, lines)))
+        # A negated control -l takes line l out of the helpers.
+        used = tuple(map(abs, lines))
+        return synth_cknot(gate.k, lines + tuple(_unused(order, used)))
 
     return expand
 

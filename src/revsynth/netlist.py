@@ -9,9 +9,11 @@ Format, one statement per line, ``#`` starting a comment anywhere::
     CKNOT <k> <c1> ... <ck> <target>
     CKSWAP <k> <c1> ... <ck> <t1> <t2>
 
-Every number is ASCII decimal, and the width lies in ``1..MAX_WIDTH``.
-Gates apply in file order. ``write_netlist`` followed by ``read_netlist``
-reproduces the circuit exactly.
+Every number is ASCII decimal, and the width lies in ``1..MAX_WIDTH``. A
+CKNOT control that fires on 0 is written with a leading ``-``, as in
+``CKNOT 2 -1 2 3``; no other field takes a sign. Gates apply in file
+order. ``write_netlist`` followed by ``read_netlist`` reproduces the
+circuit exactly.
 
 A netlist repeats a few distinct gates many times, so ``write_netlist``
 formats each entry of the circuit's ``distinct_gates`` once and
@@ -19,9 +21,10 @@ formats each entry of the circuit's ``distinct_gates`` once and
 appearance. That order is file order for every row that sets the width or
 a role, because a repeated ``lines`` or ``role`` row is always an error;
 what repeats are gate, blank and comment rows, which change nothing. The
-rows then become gates in one pass through the table of rows read. On any
-error the rows are read again one by one in file order, so the error names
-the earliest bad row.
+rows then become gates in one pass through the table of rows read. A line
+field is looked up in a table of the line numbers up to ``MAX_WIDTH``, and
+only a field the table lacks is parsed. On any error the rows are read
+again one by one in file order, so the error names the earliest bad row.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ _GATE_KINDS = {k.value: k for k in GateKind}
 # is falsy, so one filter keeps only the gates, and unlike None it can be
 # counted apart from them.
 _HEADER = ()
+# Every line number a gate row can hold, by its text; a negated CKNOT
+# control also by its negative. Any other field takes the slow path, which
+# gives it the same value, or the same error, as parsing it would.
+_LINES = {str(l): l for l in range(1, MAX_WIDTH + 1)}
+_SIGNED_LINES = {**_LINES, **{f"-{l}": -l for l in _LINES.values()}}
 
 
 def write_netlist(circuit: Circuit) -> str:
@@ -119,14 +127,37 @@ class _Header:
             if len(tokens) != wanted + 1:
                 raise ValueError(f"{keyword} with k={k} needs {wanted - 1} line numbers")
             fields = tokens[2:]
-        digits = "".join(fields)
-        if not (digits.isascii() and digits.isdigit()):
-            for field in fields:
-                parse_decimal(field)  # raises on the first bad field
-        lines = tuple(map(int, fields))
-        if self.width is not None and max(lines) > self.width:
-            raise ValueError(f"gate {keyword} {lines} exceeds width {self.width}")
+        try:
+            if kind is CKNOT:
+                *controls, target = fields
+                lines = (*map(_SIGNED_LINES.__getitem__, controls), _LINES[target])
+            else:
+                lines = tuple(map(_LINES.__getitem__, fields))
+        except KeyError:
+            lines = _parse_lines(kind, fields)
+        width = self.width
+        if width is not None and (
+            max(map(abs, lines)) if kind is CKNOT else max(lines)
+        ) > width:
+            raise ValueError(f"gate {keyword} {lines} exceeds width {width}")
         return GateInstance(kind, lines)
+
+
+def _parse_lines(kind: GateKind, fields: list[str]) -> tuple[int, ...]:
+    """The line numbers of a gate row's fields, in ASCII decimal, with one
+    leading ``-`` allowed on a CKNOT control; raises on the first bad
+    field."""
+    lines = []
+    for i, field in enumerate(fields):
+        if kind is CKNOT and i < len(fields) - 1 and field[:1] == "-":
+            if not (field[1:].isascii() and field[1:].isdigit()):
+                raise ValueError(
+                    f"expected an integer of digits 0-9 after one '-', got {field!r}"
+                )
+            lines.append(-int(field[1:]))
+        else:
+            lines.append(parse_decimal(field))
+    return tuple(lines)
 
 
 def _raise_earliest_error(rows: list[str]) -> NoReturn:

@@ -2,16 +2,21 @@
 
 Building blocks are gate-list fragments over explicit lines: NOT, CNOT,
 CCNOT, the recursive multi-controlled NOT that every CKNOT macro lowers
-to, the increment ladder that adds 1 to a register of lines (the
-generator T2' on all n lines, used by the token-pair fragments in
-``even``), and ``synth_add_constant``, which adds any constant.
+to (a control given as a negative line number fires on 0), the
+increment ladder that adds 1 to a register of lines (the generator T2'
+on all n lines, used by the token-pair fragments in ``even``), and
+``synth_add_constant``, which adds any constant.
 
 Both VTOF routes compile by conjugation (Shende, Prasad, Markov and
-Hayes, IEEE TCAD 2003). ``conjugation_gates`` builds a CNOT/NOT list
-sigma that carries the two states of a transposition, or the four of a
-pair of disjoint transpositions, onto states that one wide multi-controlled
-NOT swaps; ``append_conjugation`` emits sigma, that gate and sigma
-reversed, and cancels equal gates where blocks meet. ``synth_general``
+Hayes, IEEE TCAD 2003). ``conjugation_gates`` builds a CNOT list sigma,
+and the NOT layer ``flips`` that would end it, which carry the two states
+of a transposition, or the four of a pair of disjoint transpositions,
+onto states that one wide multi-controlled NOT swaps. The NOT layer is
+folded into that gate instead of being emitted: ``negated_centre`` negates
+each control it flips. A quadruple whose XOR is nonzero ends sigma with
+three Toffolis, each with a negated control, after the NOTs on their
+lines. ``append_conjugation`` emits sigma, the centre and sigma reversed,
+and cancels equal gates where blocks meet. ``synth_general``
 uses one full-width CKNOT per transposition of the target and lowers
 everything to VTOF gates; ``even.synth_even`` uses one C^(n-2)NOT per pair.
 
@@ -52,34 +57,63 @@ def synth_not(target: int, helpers: tuple[int, int]) -> tuple[GateInstance, ...]
 
 def synth_cnot(control: int, target: int, helper: int) -> tuple[GateInstance, ...]:
     """XOR ``control`` into ``target`` with 2 VTOF gates; the helper serves
-    as the invert-line twice and ends restored for both start values."""
-    if len({control, target, helper}) != 3:
+    as the invert-line twice and ends restored for both start values.
+
+    A negative ``control`` fires on 0 instead: 6 gates (c, h, x = control,
+    helper, target: ``chx chx chx hcx chx hcx``), the shortest VTOF form,
+    where NOT, CNOT, NOT costs 10."""
+    c = abs(control)
+    if len({c, target, helper}) != 3:
         raise InsufficientLinesError(
             f"CNOT needs three distinct lines, got {control}, {target}, {helper}"
         )
-    g = vtof(control, helper, target)
-    return (g, g)
+    g = vtof(c, helper, target)
+    if control > 0:
+        return (g, g)
+    h = vtof(helper, c, target)
+    return (g, g, g, h, g, h)
 
 
 def synth_ccnot(c1: int, c2: int, target: int) -> tuple[GateInstance, ...]:
-    """Toffoli on three lines: one VTOF (which also flips ``c2``) followed
-    by the 4-gate NOT on ``c2`` to undo the flip. Self-contained: 5 gates,
-    no lines beyond the three given."""
-    return (vtof(c1, c2, target),) + synth_not(c2, (c1, target))
+    """Toffoli on three lines, 5 VTOF gates and no other line.
+
+    A negative control fires on 0, and every polarity costs 5: each form
+    is the shortest, by a search over the 40 320 permutations of 3 lines
+    that the tests rerun. As (control, invert, target) triples on lines
+    1 = c1, 2 = c2, 3 = target, the Toffoli that fires on (c1, c2) =
+    (1, 1) is ``123 132 312 132 312`` (one VTOF, which also flips c2, then
+    the 4-gate NOT on c2 that undoes the flip); on (1, 0) it is
+    ``123 312 123 213 132``, on (0, 1) ``123 231 213 213 321`` and on
+    (0, 0) ``123 123 312 213 132``."""
+    a, b = abs(c1), abs(c2)
+    t = target
+    g = vtof(a, b, t)
+    if c1 > 0:
+        if c2 > 0:
+            return (g, vtof(a, t, b), vtof(t, a, b), vtof(a, t, b), vtof(t, a, b))
+        return (g, vtof(t, a, b), g, vtof(b, a, t), vtof(a, t, b))
+    if c2 > 0:
+        return (g, vtof(b, t, a), vtof(b, a, t), vtof(b, a, t), vtof(t, b, a))
+    return (g, g, vtof(t, a, b), vtof(b, a, t), vtof(a, t, b))
 
 
 def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
-    """Multi-controlled NOT: flip ``lines[k]`` iff ``lines[:k]`` are all 1.
+    """Multi-controlled NOT: flip ``lines[k]`` iff each control
+    ``lines[:k]`` holds the value it fires on, 1 for a positive line
+    number and 0 for a negative one.
 
     ``lines`` is ``k`` controls, the target, then the free lines the
     construction may use as helpers (restored for both values, so borrowed
     lines qualify). Needs two free lines when ``k == 0``, one when
     ``k == 1`` or ``k >= 3``, none when ``k == 2``. For ``k >= 3`` the
     recursion peels off the last control against a single free line ``x``:
-    the ``k - 1``-control child (with ``x`` standing in for that control,
-    and the peeled control as its target) runs twice, each time followed by
-    a Toffoli joining the peeled control and ``x`` into the target. Size is
-    ``T(k) = 2 T(k - 1) + 10`` gates, ``T(2) = 5``: it doubles per control.
+    the ``k - 1``-control child (the other controls, signs kept, with
+    ``x`` as its target and the peeled control among its helpers) runs
+    twice, each time followed by a Toffoli joining the peeled control,
+    with its sign, and ``x`` into the target. Size is
+    ``T(k) = 2 T(k - 1) + 10`` gates, ``T(2) = 5``, for every polarity: it
+    doubles per control. A negated control costs nothing from ``k = 2``;
+    at ``k = 1`` it makes the CNOT 6 gates instead of 2.
     """
     if k < 0:
         raise ValueError(f"control count must be nonnegative, got {k}")
@@ -105,10 +139,11 @@ def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
             f"CKNOT with {k} controls needs one free line beyond its {k + 1} gate lines"
         )
     x = free[0]
+    peeled = controls[-1]
     child = synth_cknot(
-        k - 1, (*controls[:-1], x, controls[-1], target, *free[1:])
+        k - 1, (*controls[:-1], x, abs(peeled), target, *free[1:])
     )
-    join = synth_ccnot(controls[-1], x, target)
+    join = synth_ccnot(peeled, x, target)
     return child + join + child + join
 
 
@@ -153,24 +188,31 @@ def synth_add_constant(r: int, lines: Sequence[int]) -> tuple[GateInstance, ...]
 
 def conjugation_gates(
     states: Sequence[int], pivots: Sequence[int], n: int
-) -> list[GateInstance]:
-    """Macro gates ``sigma`` on lines ``1..n`` that carry 2 or 4 distinct
-    states onto the states one wide CKNOT on target ``pivots[0]`` swaps.
+) -> tuple[list[GateInstance], int]:
+    """Macro gates ``sigma`` on lines ``1..n``, and the NOT layer ``flips``
+    that follows them, which carry 2 or 4 distinct states onto the states
+    one wide CKNOT on target ``pivots[0]`` swaps.
 
     CNOTs row-reduce the differences of the states from ``states[0]``
     onto the unit vectors of the pivot lines, in order. A row that misses
     its pivot first takes it from its highest set bit, which lies above
     every earlier pivot when ``pivots`` is one line or lines n, n-1, n-2.
     The last difference of a quadruple whose XOR is 0 is the sum of the
-    other two, so it is not reduced. NOTs then send ``states[0]`` to T
-    with line ``pivots[0]`` cleared, where T = 2**n - 1.
+    other two, so it is not reduced. A NOT on each line of ``flips`` (a
+    mask in state bits: line l is bit n - l) then sends ``states[0]`` to
+    T with line ``pivots[0]`` cleared, where T = 2**n - 1. Those NOTs are
+    not emitted: no gate of ``sigma`` follows them, so around the CKNOT
+    each one on a control makes that control negative, and each one on
+    another line commutes with the CKNOT and meets its mirror.
 
     A pair lands on T - e_p and T, in order, where p = ``pivots[0]``
-    (the general route takes a line where the two differ). A quadruple a, b, c, d with pivots n, n-1, n-2 lands
-    on T-1, T, T-3, T-2: when a^b^c^d is nonzero d first lands on T-5,
-    and three Toffolis with one negative control each on lines
-    x, y, z = n-2, n-1, n (z ^= ~x y, y ^= ~x z, x ^= ~y z) carry it to
-    T-2 while fixing T-3, T-1 and T.
+    (the general route takes a line where the two differ). A quadruple
+    a, b, c, d with pivots n, n-1, n-2 lands on T-1, T, T-3, T-2: when
+    a^b^c^d is nonzero d first lands on T-5, and three Toffolis with a
+    negative control each on lines x, y, z = n-2, n-1, n
+    (z ^= ~x y, y ^= ~x z, x ^= ~y z) carry it to T-2 while fixing T-3,
+    T-1 and T. Those Toffolis end ``sigma``, so the NOTs on x, y and z
+    stay in it, in front of them, and ``flips`` keeps the other lines.
     """
     gates: list[GateInstance] = []
     a = states[0]
@@ -195,18 +237,21 @@ def conjugation_gates(
             if q != bit and w >> q & 1:
                 cnot_bits(bit, q)
     flips = a ^ ((1 << n) - 1) ^ (1 << (n - pivots[0]))
-    twisted = len(rows) == 3
-    if twisted:
-        # Each Toffoli sits between two NOTs on its negated control. The
-        # NOT x pair between the first two cancels, and the leading NOT x
-        # joins the flips.
-        flips ^= 1 << (n - pivots[2])
-    gates += [not_gate(l) for l in range(1, n + 1) if flips >> (n - l) & 1]
-    if twisted:
+    if len(rows) == 3:  # twisted
         z, y, x = pivots
-        gates += [cknot((x, y), z), cknot((x, z), y), not_gate(x),
-                  not_gate(y), cknot((y, z), x), not_gate(y)]
-    return gates
+        gates += [not_gate(l) for l in (x, y, z) if flips >> (n - l) & 1]
+        flips &= ~0b111  # lines n-2..n
+        gates += [cknot((-x, y), z), cknot((-x, z), y), cknot((-y, z), x)]
+    return gates, flips
+
+
+def negated_centre(
+    controls: Sequence[int], target: int, flips: int, n: int
+) -> GateInstance:
+    """The CKNOT on ``controls`` and ``target`` with each control whose
+    bit is set in ``flips`` (line l is bit n - l) fired on 0: the centre
+    conjugated by the NOT layer ``conjugation_gates`` leaves out."""
+    return cknot([-l if flips >> (n - l) & 1 else l for l in controls], target)
 
 
 def append_conjugation(
@@ -217,14 +262,15 @@ def append_conjugation(
 
     A trailing gate of ``sigma`` whose target is not a control of the
     centre, and which does not read the centre's target, commutes with the
-    centre and would meet its own mirror, so it is left out. At the seam,
-    each gate of the new block cancels an equal gate on top of ``gates``
-    until one does not; no two neighbours inside a block are equal, so
-    this is a full stack pass over the appended gates.
+    centre and would meet its own mirror, so it is left out; a control
+    counts whatever value it fires on. At the seam, each gate of the new
+    block cancels an equal gate on top of ``gates`` until one does not; no
+    two neighbours inside a block are equal, so this is a full stack pass
+    over the appended gates.
     """
-    controls, target = centre.lines[:-1], centre.lines[-1]
+    *controls, target = map(abs, centre.lines)
     while sigma and sigma[-1].lines[-1] not in controls and (
-        target not in sigma[-1].lines[:-1]
+        target not in map(abs, sigma[-1].lines[:-1])
     ):
         sigma.pop()
     block = (*sigma, centre, *reversed(sigma))
@@ -241,13 +287,13 @@ def synth_general(p: Permutation) -> Circuit:
     The extra line is borrowed: it may hold either value and is always
     restored. Each transposition (a b) of ``p``, in list order, becomes one
     conjugation: with t the first line where a and b differ,
-    ``conjugation_gates`` sends them to T - e_t and T, and one full-width
-    CKNOT on target t, controlled by every other data line, swaps them.
-    So the only wide gate per transposition is that CKNOT
-    (transformation-based synthesis in the style of Miller, Maslov and
-    Dueck, DAC 2003). Macro expansion then lowers the blocks: the
-    full-width CKNOTs borrow the extra line, the CNOTs and NOTs borrow free
-    data lines.
+    ``conjugation_gates`` sends them, up to its NOT layer, to T - e_t and
+    T, and one full-width CKNOT on target t, controlled by every other data
+    line and negated where that layer flips it, swaps them. So the only
+    wide gate per transposition is that CKNOT (transformation-based
+    synthesis in the style of Miller, Maslov and Dueck, DAC 2003). Macro
+    expansion then lowers the blocks: the full-width CKNOTs borrow the
+    extra line, the CNOTs borrow free data lines.
     """
     n = p.width
     if not GENERAL_MIN_WIDTH <= n <= GENERAL_MAX_WIDTH:
@@ -256,12 +302,12 @@ def synth_general(p: Permutation) -> Circuit:
             f"{GENERAL_MIN_WIDTH}..{GENERAL_MAX_WIDTH}, got {n}"
         )
     lines = range(1, n + 1)
-    centres = {t: cknot([l for l in lines if l != t], t) for t in lines}
+    controls = {t: [l for l in lines if l != t] for t in lines}
     gates: list[GateInstance] = []
     for a, b in p.to_transpositions():
         t = n + 1 - (a ^ b).bit_length()
-        sigma = conjugation_gates((a, b) if a < b else (b, a), (t,), n)
-        append_conjugation(gates, sigma, centres[t])
+        sigma, flips = conjugation_gates((a, b) if a < b else (b, a), (t,), n)
+        append_conjugation(gates, sigma, negated_centre(controls[t], t, flips, n))
     macro = Circuit(
         n + 1,
         tuple(gates),

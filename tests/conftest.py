@@ -16,10 +16,11 @@ from revsynth.permutation import Permutation
 def cknot_permutation(
     width: int, controls: tuple[int, ...], target: int
 ) -> Permutation:
-    """Oracle: flip ``target`` iff every control line is 1 (MSB-first)."""
+    """Oracle: flip ``target`` iff every control line is 1 (MSB-first),
+    or 0 for a control given as its negative line number."""
     mapping = []
     for x in range(1 << width):
-        if all((x >> (width - c)) & 1 for c in controls):
+        if all((x >> (width - abs(c))) & 1 == (c > 0) for c in controls):
             x ^= 1 << (width - target)
         mapping.append(x)
     return Permutation(width, mapping)

@@ -30,7 +30,7 @@ from revsynth.circuit import (
 from revsynth.errors import WidthOutOfRangeError
 from revsynth.netlist import read_netlist, write_netlist
 
-from conftest import random_primitive_circuit
+from conftest import cknot_permutation, random_primitive_circuit
 
 
 def triple(state: int) -> tuple[int, int, int]:
@@ -134,6 +134,10 @@ def test_gate_accessors():
     assert v.k == 1 and v.controls == (1,)
     assert not_gate(2).k == 0
     assert swap(1, 2).k == 0
+    # A negated control keeps its sign: it is part of the gate.
+    n = cknot((-2, 4), 1)
+    assert n.k == 2 and n.controls == (-2, 4) and n.targets == (1,)
+    assert n != g and len({n, g}) == 2
 
 
 def test_gate_validation_errors():
@@ -259,6 +263,70 @@ def test_circuit_validation_errors():
     with pytest.raises(ValueError, match=r"distinct, got \(2, 2, 3\)"):
         Circuit(3, (ok, ok, GateInstance(GateKind.FRED, (2, 2, 3)),
                     GateInstance(GateKind.VTOF, (1, 2))))
+
+
+def test_only_cknot_controls_may_be_negative():
+    ok = vtof(1, 2, 3)
+    for bad in (
+        GateInstance(GateKind.VTOF, (-1, 2, 3)),
+        GateInstance(GateKind.VTOF, (1, 2, -3)),
+        GateInstance(GateKind.FRED, (1, -2, 3)),
+        GateInstance(GateKind.CKSWAP, (-1, 2, 3)),
+        GateInstance(GateKind.CKSWAP, (1, 2, -3)),
+        cknot((1, 2), -3),
+        cknot((), -1),
+    ):
+        with pytest.raises(ValueError, match="only a CKNOT control may be negative"):
+            Circuit(3, (ok, bad))
+    # -0 is 0, which is no line; a control and its negation are one line.
+    with pytest.raises(ValueError, match=r"1-based, got \(0, 2, 3\)"):
+        Circuit(3, (cknot((-0, 2), 3),))
+    with pytest.raises(ValueError, match=r"distinct, got \(-1, 1, 3\)"):
+        Circuit(3, (cknot((-1, 1), 3),))
+    # The width bound reads a negated control's line.
+    with pytest.raises(ValueError, match=r"CKNOT \(-4, 2, 3\) exceeds width 3"):
+        Circuit(3, (ok, cknot((-4, 2), 3)))
+    c = Circuit(4, (cknot((-4, 2), 3), cknot((-1, -2, -4), 3)))
+    assert c.distinct_gates == c.gates and not c.is_primitive()
+
+
+def random_signed_circuit(width: int, n_gates: int, rng: random.Random) -> Circuit:
+    """CKNOT macros of any k, each control negated at random, mixed with
+    VTOF gates and repeats."""
+    gates = []
+    for _ in range(n_gates):
+        if rng.random() < 0.25:
+            gates.append(vtof(*rng.sample(range(1, width + 1), 3)))
+            continue
+        *controls, target = rng.sample(range(1, width + 1), rng.randint(1, width))
+        gates.append(cknot([rng.choice((1, -1)) * c for c in controls], target))
+        if rng.random() < 0.2:
+            gates.append(rng.choice(gates))
+    return Circuit(width, tuple(gates))
+
+
+def test_negated_controls_in_both_simulators():
+    rng = random.Random(44)
+    negated = 0
+    for width in range(3, 9):
+        for _ in range(4):
+            c = random_signed_circuit(width, rng.randint(4, 16), rng)
+            negated += sum(l < 0 for g in c.gates for l in g.lines)
+            # The oracle composes one independently built mapping per gate.
+            want = list(range(1 << width))
+            for g in c.gates:
+                if g.kind is GateKind.CKNOT:
+                    step = cknot_permutation(width, g.controls, g.targets[0])
+                else:
+                    step = circuit_to_permutation(Circuit(width, (g,)))
+                want = [step(y) for y in want]
+            assert masks_to_mapping(final_line_masks(c), width) == want
+            assert [simulate(c, s) for s in range(1 << width)] == want
+            # The netlist carries the signs and reads back byte for byte.
+            text = write_netlist(c)
+            assert read_netlist(text) == c
+            assert write_netlist(read_netlist(text)) == text
+    assert negated > 50
 
 
 def test_primitive_gate_count():

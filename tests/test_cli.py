@@ -68,7 +68,7 @@ def test_readme_example_gate_count(tmp_path, capsys):
     assert main(["sample", "--width", "3", "--seed", "1", "--out", str(perm)]) == 0
     capsys.readouterr()
     assert main(["synth", str(perm), "--general", "--out", str(out)]) == 0
-    assert capsys.readouterr().out.splitlines()[4] == "primitive_gates: 114"
+    assert capsys.readouterr().out.splitlines()[4] == "primitive_gates: 50"
 
 
 def test_synth_even_rejects_odd_permutation(tmp_path, capsys):
@@ -309,7 +309,7 @@ def test_module_runs_the_readme_example(tmp_path):
     done = run_module("synth", "p.perm", "--general", "--out", "p.netlist",
                       cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert "primitive_gates: 114" in done.stdout.splitlines()
+    assert "primitive_gates: 50" in done.stdout.splitlines()
     assert (tmp_path / "p.netlist").read_text().startswith("lines 4\n")
 
 

@@ -14,7 +14,7 @@ from revsynth.errors import OddPermutationError, WidthOutOfRangeError
 from revsynth.even import TokenPair, synth_even, synth_fused, synth_pair
 from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation, disjoint_pairs, sample_permutation
-from revsynth.toffoli import conjugation_gates
+from revsynth.toffoli import append_conjugation, conjugation_gates, negated_centre
 from revsynth.verify import verify_realizes
 
 from conftest import compose_runs
@@ -96,8 +96,11 @@ def test_disjoint_pairs_reject_odd_permutations():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_pair_sigma_places_both_transpositions(n: int):
-    # Twisted quadruples (a^b^c^d != 0) take the three Toffolis on lines
-    # n-2..n; the others are affine.
+    # Twisted quadruples (a^b^c^d != 0) end sigma with three Toffolis,
+    # each with a negated control, on lines n-2..n; the others are affine.
+    # sigma and then its NOT layer ``flips`` place the four states, and
+    # sigma around the centre with ``flips`` negating its controls swaps
+    # both pairs.
     top = (1 << n) - 1
     rng = random.Random(n)
     twisted = 0
@@ -108,11 +111,24 @@ def test_pair_sigma_places_both_transpositions(n: int):
         else:
             d = rng.choice([s for s in range(1 << n) if s not in (a, b, c)])
         twisted += bool(a ^ b ^ c ^ d)
-        gates = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
+        gates, flips = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
         assert all(g.kind is GateKind.CKNOT and g.k <= 2 for g in gates)
+        assert flips >> n == 0  # state bits of lines 1..n
+        if a ^ b ^ c ^ d:
+            assert [g.controls for g in gates[-3:]] == [
+                (-(n - 2), n - 1), (-(n - 2), n), (-(n - 1), n)
+            ]
+            assert flips & 0b111 == 0  # NOTs on lines n-2..n stay in sigma
+        else:
+            assert all(g.k == 1 for g in gates)
         sigma = circuit_to_permutation(Circuit(n, tuple(gates)))
-        assert (sigma(a), sigma(b)) == (top - 1, top), (a, b, c, d)
-        assert (sigma(c), sigma(d)) == (top - 3, top - 2), (a, b, c, d)
+        placed = tuple(sigma(s) ^ flips for s in (a, b, c, d))
+        assert placed == (top - 1, top, top - 3, top - 2), (a, b, c, d)
+        block: list = []
+        centre = negated_centre(range(1, n - 1), n, flips, n)
+        append_conjugation(block, gates, centre)
+        want = compose_pairs([((a, b), (c, d))], 1 << n)
+        assert circuit_to_permutation(Circuit(n, tuple(block))).mapping == want
     assert 0 < twisted < 40
 
 
@@ -205,7 +221,7 @@ def test_even_synthesis_verifies(width: int):
     # Medians over seeds 0-4. Frozen: a change in emitted size updates
     # these and the README's gate-count table together. The third column
     # is the median of the generator-token route this one replaced.
-    [(3, 170, 420), (4, 542, 3225), (5, 1574, 33297), (6, 4584, 269912)],
+    [(3, 130, 420), (4, 414, 3225), (5, 1270, 33297), (6, 3800, 269912)],
 )
 def test_even_synthesis_frozen_medians(width: int, median: int, token_route: int):
     counts = [

@@ -91,6 +91,15 @@ def test_expand_vtof_preserves_permutation():
         )
 
 
+def test_expand_vtof_negated_controls():
+    # Each lowering is exact, and a negated control's line is never a helper.
+    c = all_data(5, cknot((-1, 2, -3), 4), cknot((-5,), 1), cknot((-2, -4), 5))
+    assert free_lines(c, c.gates[0]) == [5]
+    out = expand_macros(c, "VTOF")
+    assert len(out.gates) == 20 + 6 + 5
+    assert circuit_to_permutation(out) == circuit_to_permutation(c)
+
+
 def test_expand_vtof_keeps_existing_primitives():
     c = all_data(3, vtof(1, 2, 3))
     assert expand_macros(c, "VTOF").gates == c.gates
@@ -194,7 +203,8 @@ def _reference_lowering(circuit: Circuit, gate, alphabet: str):
 def test_expand_matches_per_gate_helper_choice(alphabet: str):
     """``expand_macros`` picks helpers once per call; every gate must still
     get the lowering that ``free_lines`` defines for it, on circuits that
-    mix every role and whose gates touch ancilla lines too."""
+    mix every role and whose gates touch ancilla lines too, and whose
+    CKNOTs negate some controls."""
     rng = random.Random(29 if alphabet == "VTOF" else 31)
     primitive = fred if alphabet == "FRED" else vtof
     roles_pool = list(LineRole)
@@ -210,7 +220,9 @@ def test_expand_matches_per_gate_helper_choice(alphabet: str):
             k = rng.randint(0, width - targets)
             lines = rng.sample(range(1, width + 1), k + targets)
             if alphabet == "VTOF":
-                gate = cknot(lines[:k], lines[k])
+                # Negated controls take their lines out of the helper pool.
+                signs = [rng.choice((1, -1)) for _ in range(k)]
+                gate = cknot([s * l for s, l in zip(signs, lines)], lines[k])
             else:
                 gate = ckswap(lines[:k], lines[k], lines[k + 1])
             single = Circuit(width, (gate,), roles)

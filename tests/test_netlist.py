@@ -59,6 +59,13 @@ def golden_circuit() -> Circuit:
     )
 
 
+def signed_circuit() -> Circuit:
+    """Repeated CKNOT macros with negated controls, among primitives."""
+    a, b, c = cknot((-1, 2, -4), 3), cknot((-2,), 1), cknot((1, -3), 4)
+    v, f = vtof(1, 2, 3), fred(4, 1, 2)
+    return Circuit(4, (a, v, b, a, c, f, b, c, a, v), roles=golden_circuit().roles)
+
+
 def test_write_golden_text():
     assert write_netlist(golden_circuit()) == GOLDEN
 
@@ -89,15 +96,28 @@ def test_comments_and_blank_lines_are_ignored():
     assert c.gates == (cknot((1,), 2),)
 
 
+_HEAD3 = "lines 3\nrole 1 data\nrole 2 data\nrole 3 data\n"
+
+
+def test_negated_controls_round_trip():
+    c = Circuit(3, (cknot((-1, 2), 3), cknot((-1, -2), 3), cknot((-3,), 1)))
+    text = write_netlist(c)
+    assert text.splitlines()[4:] == [
+        "CKNOT 2 -1 2 3", "CKNOT 2 -1 -2 3", "CKNOT 1 -3 1",
+    ]
+    assert read_netlist(text) == c
+    # A line number past the lookup table is still read, and refused.
+    assert read_netlist(_HEAD3 + "CKNOT 1 -01 2\n").gates == (cknot((-1,), 2),)
+    with pytest.raises(ValueError, match=r"line 5: gate CKNOT \(-17, 2\) exceeds"):
+        read_netlist(_HEAD3 + "CKNOT 1 -17 2\n")
+
+
 def test_zero_control_macros_round_trip():
     c = Circuit(2, (cknot((), 1), ckswap((), 1, 2)))
     text = write_netlist(c)
     assert "CKNOT 0 1" in text
     assert "CKSWAP 0 1 2" in text
     assert read_netlist(text) == c
-
-
-_HEAD3 = "lines 3\nrole 1 data\nrole 2 data\nrole 3 data\n"
 
 
 @pytest.mark.parametrize(
@@ -127,6 +147,21 @@ _HEAD3 = "lines 3\nrole 1 data\nrole 2 data\nrole 3 data\n"
         ("lines 100000000\n", "netlist line 1: width must be in"),
         # Fields are ASCII decimal: no sign, underscore or non-ASCII digit.
         (_HEAD3 + "VTOF +1 2 3\n", "netlist line 5: expected an integer"),
+        # Only a CKNOT control takes a sign, and only one '-'.
+        (_HEAD3 + "CKNOT 2 -1 2 3\nCKNOT 2 -0 2 3\n",
+         r"netlist line 6: lines are 1-based, got \(0, 2, 3\)"),
+        (_HEAD3 + "CKNOT 2 -1 2 3\nCKNOT 2 -1 2 3\nCKNOT 2 --1 2 3\n",
+         "netlist line 7: expected an integer of digits 0-9 after one '-', got '--1'"),
+        (_HEAD3 + "VTOF 1 2 3\nVTOF -1 2 3\n",
+         "netlist line 6: expected an integer of digits 0-9, got '-1'"),
+        (_HEAD3 + "\nFRED 1 -2 3\n",
+         "netlist line 6: expected an integer of digits 0-9, got '-2'"),
+        (_HEAD3 + "CKSWAP 1 -1 2 3\n",
+         "netlist line 5: expected an integer of digits 0-9, got '-1'"),
+        (_HEAD3 + "CKNOT 0 3\nCKNOT 1 1 3\nCKNOT 1 -1 3\nCKNOT 1 1 -3\n",
+         "netlist line 8: expected an integer of digits 0-9, got '-3'"),
+        (_HEAD3 + "CKNOT 1 -1 3\nCKNOT 1 -4 3\n",
+         r"netlist line 6: gate CKNOT \(-4, 3\) exceeds width 3"),
         (_HEAD3 + "VTOF 1 2 3_0\n", "netlist line 5: expected an integer"),
         (_HEAD3 + "VTOF 1 2 \u0663\n", "netlist line 5: expected an integer"),
         (_HEAD3 + "CKNOT -1\n", "netlist line 5: expected an integer"),
@@ -235,8 +270,11 @@ def _reference_read(text: str) -> Circuit:
                             f"{keyword} with k={k} needs {wanted - 1} line numbers"
                         )
                     fields = tokens[2:]
-                lines = tuple(map(parse_decimal, fields))
-                if width is not None and max(lines) > width:
+                signed = len(fields) - 1 if keyword == "CKNOT" else 0
+                lines = tuple(
+                    _reference_line(f, i < signed) for i, f in enumerate(fields)
+                )
+                if width is not None and max(map(abs, lines)) > width:
                     raise ValueError(f"gate {keyword} {lines} exceeds width {width}")
                 gate = GateInstance(GateKind(keyword), lines)
                 gates.append(gate)
@@ -257,6 +295,17 @@ def _reference_read(text: str) -> Circuit:
         gates=tuple(gates),
         roles=tuple(roles[i] for i in range(1, width + 1)),
     )
+
+
+def _reference_line(field: str, signed: bool) -> int:
+    if signed and field.startswith("-"):
+        body = field[1:]
+        if not (body.isascii() and body.isdigit()):
+            raise ValueError(
+                f"expected an integer of digits 0-9 after one '-', got {field!r}"
+            )
+        return -int(body)
+    return parse_decimal(field)
 
 
 def _duplicate_header(rows: list[str], width: int, rng: random.Random) -> None:
@@ -290,7 +339,9 @@ def _corrupt_a_repeat(rows: list[str], width: int, rng: random.Random) -> None:
     i = rng.choice([i for i, r in enumerate(rows) if r == row])
     keyword, *fields = row.split()
     j = rng.randrange(len(fields))
-    fields[j] = rng.choice(["x", "0", "+1", "٣", fields[j - 1], str(width + 1)])
+    fields[j] = rng.choice(
+        ["x", "0", "+1", "٣", "-1", "-0", "--2", fields[j - 1], str(width + 1)]
+    )
     fields = rng.choice([fields, fields[:-1], fields + ["1"]])
     rows[i] = " ".join([rng.choice([keyword, keyword.lower()]), *fields])
 
@@ -314,6 +365,7 @@ def test_reader_matches_the_row_by_row_reference():
         synth_even(sample_permutation(3, "even", seed=2)),
         synth_conservative(sample_permutation(4, "conservative", seed=2)),
         golden_circuit(),
+        signed_circuit(),
     ]
     seen = {"circuit": 0, "same error": 0, "row named": 0}
     for base in bases:

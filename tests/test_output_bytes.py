@@ -24,8 +24,8 @@ ROUTES = {
 }
 
 DIGESTS = {
-    "general": "28cdd4b7606590829e7e7b87eddcce403e0ee4bfba32cac28beba3aeebdb1ffa",
-    "even": "6fa4331152ae2a587c9a4d06746305660cbd3e52d4bf440180f7879ba2f935f1",
+    "general": "146e9ab32f7d3724ea16ccd20b43c1485d985479d7b622108eaef9dc1acfd1b5",
+    "even": "dd69091675eb7f91c4052036a7946373fb84b2e1c089576f013ccf4962cf1250",
     "conservative": "a4edc3635e189dc30465da203604387b7d9178242782c6d3f70503e30ef71461",
 }
 

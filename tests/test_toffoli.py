@@ -4,7 +4,9 @@ share, and full general synthesis."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -15,6 +17,7 @@ from revsynth.circuit import (
     LineRole,
     circuit_to_permutation,
     cknot,
+    vtof,
 )
 from revsynth.errors import InsufficientLinesError, WidthOutOfRangeError
 from revsynth.even import synth_even
@@ -25,6 +28,7 @@ from revsynth.toffoli import (
     append_conjugation,
     conjugation_gates,
     increment,
+    negated_centre,
     synth_add_constant,
     synth_ccnot,
     synth_cknot,
@@ -63,6 +67,47 @@ def test_synth_ccnot_is_self_contained():
     assert realized(3, gates).mapping == cknot_permutation(3, (1, 2), 3).mapping
 
 
+def vtof_distances() -> dict[bytes, int]:
+    """The fewest VTOF gates that realize each permutation of the 8 states
+    of 3 lines, by breadth-first search from the identity over the six
+    gates on those lines. A permutation is its image table as bytes; a
+    gate is applied after it with ``bytes.translate``."""
+    steps = []
+    for lines in itertools.permutations((1, 2, 3)):
+        image = realized(3, (vtof(*lines),)).mapping
+        steps.append(bytes(image) + bytes(range(8, 256)))
+    start = bytes(range(8))
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        p = queue.popleft()
+        for step in steps:
+            q = p.translate(step)
+            if q not in dist:
+                dist[q] = dist[p] + 1
+                queue.append(q)
+    return dist
+
+
+def test_three_line_forms_are_exact_and_shortest():
+    dist = vtof_distances()
+    assert len(dist) == 40320  # VTOF generates every permutation of 3 bits
+    forms = {
+        (c1, c2, 3): synth_ccnot(c1, c2, 3) for c1 in (1, -1) for c2 in (2, -2)
+    }
+    forms[(1, 3)] = synth_cnot(1, 3, 2)
+    forms[(-1, 3)] = synth_cnot(-1, 3, 2)
+    sizes = {}
+    for (*controls, target), gates in forms.items():
+        want = cknot_permutation(3, tuple(controls), target).mapping
+        assert realized(3, gates).mapping == want, controls
+        assert len(gates) == dist[bytes(want)], controls
+        sizes[tuple(controls)] = len(gates)
+    assert sizes == {
+        (1, 2): 5, (1, -2): 5, (-1, 2): 5, (-1, -2): 5, (1,): 2, (-1,): 6,
+    }
+
+
 def test_fragments_reject_clashing_lines():
     with pytest.raises(InsufficientLinesError):
         synth_not(1, (1, 2))
@@ -82,6 +127,28 @@ def test_synth_cknot_exact_with_frozen_counts(k: int, count: int):
     assert len(gates) == count
     want = cknot_permutation(width, lines[:k], lines[k])
     assert realized(width, gates).mapping == want.mapping
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_synth_cknot_any_polarity_is_exact_at_frozen_size(k: int):
+    # T(k) for every polarity: the leaf and join Toffolis cost 5 whatever
+    # their controls fire on; only a lone negated CNOT costs 6, not 2.
+    sizes = {1: 2, 2: 5}
+    for j in range(3, 9):
+        sizes[j] = 2 * sizes[j - 1] + 10
+    rng = random.Random(k)
+    width = k + 1 + (k != 2)
+    for signs in ((1,) * k, (-1,) * k, *(
+        [rng.choice((1, -1)) for _ in range(k)] for _ in range(3)
+    )):
+        lines = rng.sample(range(1, width + 1), width)
+        controls = tuple(s * l for s, l in zip(signs, lines))
+        gates = synth_cknot(k, (*controls, *lines[k:]))
+        want_size = 6 if k == 1 and signs[0] < 0 else sizes[k]
+        assert len(gates) == want_size, signs
+        # The full mapping covers both values of the free line.
+        want = cknot_permutation(width, controls, lines[k])
+        assert realized(width, gates).mapping == want.mapping, signs
 
 
 def test_synth_cknot_with_extra_free_lines():
@@ -199,8 +266,9 @@ def general_blocks(width: int, pairs) -> tuple[list, list]:
     blocks: list = []
     for a, b in pairs:
         t = width + 1 - (a ^ b).bit_length()
-        centre = full_width_centre(width, t)
-        sigma = conjugation_gates((min(a, b), max(a, b)), (t,), width)
+        sigma, flips = conjugation_gates((min(a, b), max(a, b)), (t,), width)
+        controls = full_width_centre(width, t).controls
+        centre = negated_centre(controls, t, flips, width)
         blocks += [*sigma, centre, *reversed(sigma)]
         append_conjugation(gates, sigma, centre)
     return gates, blocks
@@ -208,20 +276,25 @@ def general_blocks(width: int, pairs) -> tuple[list, list]:
 
 def test_transposition_gates_cover_both_orders_and_every_pair():
     # Macro level on the data lines alone: with either state first, sigma
-    # sends the first to T - e_t and the second to T, so the block swaps
-    # exactly those two states.
+    # and then its NOT layer ``flips`` send the first to T - e_t and the
+    # second to T. sigma has no NOT; the block swaps exactly those two
+    # states with the centre's controls negated where ``flips`` is set.
     for width in (2, 3, 4):
         top = (1 << width) - 1
         for a in range(1 << width):
             for b in range(1 << width):
                 if a != b:
                     t = width + 1 - (a ^ b).bit_length()
-                    sigma = conjugation_gates((a, b), (t,), width)
+                    sigma, flips = conjugation_gates((a, b), (t,), width)
+                    assert all(g.k == 1 for g in sigma), (width, a, b)
                     images = realized(width, sigma)
-                    assert images(b) == top, (width, a, b)
-                    assert images(a) == top ^ 1 << (width - t), (width, a, b)
+                    assert images(b) ^ flips == top, (width, a, b)
+                    assert images(a) ^ flips == top ^ 1 << (width - t), (width, a, b)
+                    controls = full_width_centre(width, t).controls
+                    centre = negated_centre(controls, t, flips, width)
+                    assert {abs(c) for c in centre.controls} == set(controls)
                     gates: list = []
-                    append_conjugation(gates, sigma, full_width_centre(width, t))
+                    append_conjugation(gates, sigma, centre)
                     want = Permutation.from_cycle(width, (a, b))
                     assert realized(width, gates).mapping == want.mapping
 
@@ -234,9 +307,11 @@ def test_general_macro_is_one_wide_cknot_per_transposition(width: int):
     assert all(g.kind is GateKind.CKNOT for g in gates)
     wide = [g for g in gates if g.k == width - 1]
     assert len(wide) == len(pairs)
-    # The wide gate spans every data line, leaving the borrowed line free.
-    assert all(set(g.lines) == set(range(1, width + 1)) for g in wide)
-    assert all(g.k <= 1 for g in gates if g.k != width - 1)
+    # The wide gate spans every data line, leaving the borrowed line free;
+    # sigma's NOTs survive only as its negated controls.
+    assert all({abs(l) for l in g.lines} == set(range(1, width + 1)) for g in wide)
+    assert any(c < 0 for g in wide for c in g.controls)
+    assert all(g.k == 1 for g in gates if g.k != width - 1)
     roles = (LineRole.DATA,) * width + (LineRole.BORROWED,)
     macro = Circuit(width + 1, gates, roles=roles)
     assert expand_macros(macro, "VTOF") == synth_general(p)
@@ -271,7 +346,7 @@ def test_vtof_macro_lists_cancel_where_blocks_meet(width: int, monkeypatch):
     "width, count",
     # Seed 0 at each width. Frozen: a change in emitted size updates these
     # and the README's gate-count table together.
-    [(3, 60), (4, 616), (5, 2648), (6, 9248)],
+    [(3, 28), (4, 336), (5, 1688), (6, 7080)],
 )
 def test_general_synthesis_frozen_counts(width: int, count: int):
     p = sample_permutation(width, "any", seed=0)

@@ -10,12 +10,14 @@ pivot lines n, n-1, n-2 sends a, b onto T-1, T and c, d onto T-3, T-2,
 up to the NOT layer it returns as ``flips``. Those NOTs are not emitted:
 each one on a control negates that control of the pair's C^(n-2)NOT
 (``toffoli.negated_centre``), and the others cancel. When a^b^c^d is
-nonzero sigma ends with three Toffolis on lines n-2..n, each with a
-negated control. Line n-1 is the one line that C^(n-2)NOT leaves free,
-so macro expansion borrows it and the width never grows.
-``toffoli.append_conjugation`` leaves out the tail of ``sigma`` that
-commutes with the C^(n-2)NOT and cancels equal gates where pairs meet,
-before expansion.
+nonzero the CNOTs of sigma are followed by a VTOF form of 3 to 6 gates on
+lines n-2..n and the centre by its exact inverse form, 8 or 10 VTOF in
+all (``toffoli.TWISTED_TAILS``); they put {a, b} and {c, d} onto those
+two pairs, either way round. Line n-1 is the one line that C^(n-2)NOT
+leaves free, so macro expansion borrows it and the width never grows.
+``toffoli.append_conjugation`` leaves out the CNOTs at the end of an
+untwisted ``sigma`` that commute with the C^(n-2)NOT and cancels equal
+CNOTs where pairs meet, before expansion.
 
 The paper's own generator argument survives as line-exact fragments that
 ``synth_even`` does not call: ``synth_pair`` realizes each adjacent pair
@@ -97,12 +99,13 @@ def synth_even(p: Permutation) -> Circuit:
     """Compile an even permutation to a VTOF netlist on exactly its own
     width: no ancilla, no borrowed lines.
 
-    Each disjoint pair becomes ``sigma``, the C^(n-2)NOT with the controls
-    that sigma's NOT layer flips negated, and ``sigma`` reversed
-    (``append_conjugation``), less the tail of ``sigma`` that
-    commutes with the C^(n-2)NOT and the equal gates that cancel where
-    pairs meet. Macro expansion then lowers the rest, borrowing free data
-    lines.
+    Each disjoint pair becomes ``sigma``, a twisted pair's VTOF form, the
+    C^(n-2)NOT with the controls that the NOT layer flips negated, the
+    inverse form and ``sigma`` reversed (``append_conjugation``), less the
+    CNOTs at the end of an untwisted ``sigma`` that commute with the
+    C^(n-2)NOT and the equal CNOTs that cancel where pairs meet. Macro
+    expansion then lowers the CNOTs and the C^(n-2)NOT, borrowing free
+    data lines; the VTOF gates pass through.
     """
     n = p.width
     if not EVEN_MIN_WIDTH <= n <= MAX_WIDTH:
@@ -114,8 +117,10 @@ def synth_even(p: Permutation) -> Circuit:
     controls = range(1, n - 1)
     gates: list[GateInstance] = []
     for (a, b), (c, d) in disjoint_pairs(p.mapping):
-        sigma, flips = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
-        append_conjugation(gates, sigma, negated_centre(controls, n, flips, n))
+        sigma, tail, flips = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
+        append_conjugation(
+            gates, sigma, negated_centre(controls, n, flips, n), tail
+        )
     macro = Circuit(n, tuple(gates))
     from .expand import expand_macros
 

@@ -13,10 +13,11 @@ and the NOT layer ``flips`` that would end it, which carry the two states
 of a transposition, or the four of a pair of disjoint transpositions,
 onto states that one wide multi-controlled NOT swaps. The NOT layer is
 folded into that gate instead of being emitted: ``negated_centre`` negates
-each control it flips. A quadruple whose XOR is nonzero ends sigma with
-three Toffolis, each with a negated control, after the NOTs on their
-lines. ``append_conjugation`` emits sigma, the centre and sigma reversed,
-and cancels equal gates where blocks meet. ``synth_general``
+each control it flips. A quadruple whose XOR is nonzero also gets a short
+VTOF form on lines n-2..n and its exact inverse (``TWISTED_TAILS``), which
+put its four states where that gate swaps them. ``append_conjugation``
+emits sigma, the form, the centre, the inverse form and sigma reversed,
+and cancels equal CKNOTs where blocks meet. ``synth_general``
 uses one full-width CKNOT per transposition of the target and lowers
 everything to VTOF gates; ``even.synth_even`` uses one C^(n-2)NOT per pair.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .circuit import Circuit, GateInstance, LineRole, cknot, cnot, not_gate, vtof
+from .circuit import CKNOT, Circuit, GateInstance, LineRole, cknot, cnot, vtof
 from .errors import InsufficientLinesError, WidthOutOfRangeError
 # Unused here, but perfbench/tracer.py patches this binding and requires it.
 from .generators import decompose_generators  # noqa: F401
@@ -186,12 +187,47 @@ def synth_add_constant(r: int, lines: Sequence[int]) -> tuple[GateInstance, ...]
     return tuple(gates)
 
 
+# The twisted tails of ``conjugation_gates``, indexed by sigma's NOT layer
+# on lines x, y, z = n-2, n-1, n (bits 2, 1, 0): a VTOF form on those lines,
+# as (control, invert, target) positions with 0, 1, 2 = x, y, z, its exact
+# inverse, and the NOT-layer bit of x, which is 1 when the centre's control
+# x fires on 0. Each form, with that bit, sends the states a, b, c, d that
+# the CNOTs leave as v, v^e_z, v^e_y, v^e_x onto two pairs that differ on z
+# alone, at either y and in the plane the centre fires on; among all such
+# forms its length plus its inverse's is the least, 8 or 10 gates, by a
+# search over the 40 320 permutations of 3 lines that the tests rerun. No
+# form repeats a gate in a row.
+TWISTED_TAILS = (
+    (((2, 0, 1), (1, 0, 2), (1, 2, 0), (0, 2, 1)),
+     ((1, 2, 0), (0, 2, 1), (2, 0, 1), (1, 0, 2)), 0),  # 000
+    (((0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0)),
+     ((0, 2, 1), (1, 2, 0), (0, 2, 1), (0, 1, 2), (1, 0, 2), (2, 0, 1)), 0),  # 001
+    (((0, 1, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0), (2, 0, 1)),
+     ((0, 2, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2), (2, 0, 1)), 0),  # 010
+    (((1, 0, 2), (2, 0, 1), (1, 2, 0)),
+     ((0, 2, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (2, 0, 1)), 0),  # 011
+    (((0, 1, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 1, 0)),
+     ((1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 0, 1)), 0),  # 100
+    (((0, 1, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0)),
+     ((0, 2, 1), (2, 1, 0), (2, 0, 1), (1, 0, 2), (0, 1, 2), (1, 0, 2)), 0),  # 101
+    (((0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0), (2, 0, 1), (0, 2, 1)),
+     ((2, 1, 0), (0, 1, 2), (1, 0, 2), (0, 2, 1)), 0),  # 110
+    (((2, 0, 1), (1, 0, 2), (1, 2, 0)),
+     ((0, 2, 1), (1, 2, 0), (0, 2, 1), (2, 0, 1), (1, 0, 2)), 1),  # 111
+)
+
+Tail = tuple[tuple[GateInstance, ...], tuple[GateInstance, ...]]
+NO_TAIL: Tail = ((), ())
+
+
 def conjugation_gates(
     states: Sequence[int], pivots: Sequence[int], n: int
-) -> tuple[list[GateInstance], int]:
-    """Macro gates ``sigma`` on lines ``1..n``, and the NOT layer ``flips``
-    that follows them, which carry 2 or 4 distinct states onto the states
-    one wide CKNOT on target ``pivots[0]`` swaps.
+) -> tuple[list[GateInstance], Tail, int]:
+    """CNOT macros ``sigma`` on lines ``1..n``, a VTOF ``tail`` after them
+    as a form and its inverse (``NO_TAIL`` but for a twisted quadruple),
+    and the NOT layer ``flips`` that follows both, which carry 2 or 4
+    distinct states onto states one wide CKNOT on target ``pivots[0]``
+    swaps.
 
     CNOTs row-reduce the differences of the states from ``states[0]``
     onto the unit vectors of the pivot lines, in order. A row that misses
@@ -207,12 +243,13 @@ def conjugation_gates(
 
     A pair lands on T - e_p and T, in order, where p = ``pivots[0]``
     (the general route takes a line where the two differ). A quadruple
-    a, b, c, d with pivots n, n-1, n-2 lands on T-1, T, T-3, T-2: when
-    a^b^c^d is nonzero d first lands on T-5, and three Toffolis with a
-    negative control each on lines x, y, z = n-2, n-1, n
-    (z ^= ~x y, y ^= ~x z, x ^= ~y z) carry it to T-2 while fixing T-3,
-    T-1 and T. Those Toffolis end ``sigma``, so the NOTs on x, y and z
-    stay in it, in front of them, and ``flips`` keeps the other lines.
+    a, b, c, d with pivots n, n-1, n-2 lands on T-1, T, T-3, T-2 when
+    a^b^c^d is 0. Otherwise the CNOTs send them to v, v^e_z, v^e_y,
+    v^e_x on lines x, y, z = n-2, n-1, n, and the tail is the
+    ``TWISTED_TAILS`` entry for the NOT layer on those lines. Of those
+    lines ``flips`` then keeps only the bit of x that the entry gives,
+    and the tail and ``flips`` send {a, b} and {c, d} onto {T-1, T} and
+    {T-3, T-2}, one pair each, in either order.
     """
     gates: list[GateInstance] = []
     a = states[0]
@@ -237,12 +274,16 @@ def conjugation_gates(
             if q != bit and w >> q & 1:
                 cnot_bits(bit, q)
     flips = a ^ ((1 << n) - 1) ^ (1 << (n - pivots[0]))
-    if len(rows) == 3:  # twisted
-        z, y, x = pivots
-        gates += [not_gate(l) for l in (x, y, z) if flips >> (n - l) & 1]
-        flips &= ~0b111  # lines n-2..n
-        gates += [cknot((-x, y), z), cknot((-x, z), y), cknot((-y, z), x)]
-    return gates, flips
+    if len(rows) < 3:
+        return gates, NO_TAIL, flips
+    z, y, x = pivots
+    xyz = (x, y, z)
+    forward, inverse, x_flip = TWISTED_TAILS[flips & 0b111]  # lines n-2..n
+    tail = (
+        tuple(vtof(xyz[c], xyz[i], xyz[t]) for c, i, t in forward),
+        tuple(vtof(xyz[c], xyz[i], xyz[t]) for c, i, t in inverse),
+    )
+    return gates, tail, flips & ~0b111 | x_flip << 2
 
 
 def negated_centre(
@@ -255,27 +296,38 @@ def negated_centre(
 
 
 def append_conjugation(
-    gates: list[GateInstance], sigma: list[GateInstance], centre: GateInstance
+    gates: list[GateInstance],
+    sigma: list[GateInstance],
+    centre: GateInstance,
+    tail: Tail = NO_TAIL,
 ) -> None:
-    """Append ``sigma``, the CKNOT ``centre`` and ``sigma`` reversed to
-    ``gates`` (every gate is self-inverse, so the reversal undoes sigma).
+    """Append ``sigma``, the VTOF form of ``tail``, the CKNOT ``centre``,
+    the inverse form of ``tail`` and ``sigma`` reversed to ``gates``
+    (every CKNOT is self-inverse, so the reversal undoes sigma).
 
-    A trailing gate of ``sigma`` whose target is not a control of the
-    centre, and which does not read the centre's target, commutes with the
-    centre and would meet its own mirror, so it is left out; a control
-    counts whatever value it fires on. At the seam, each gate of the new
-    block cancels an equal gate on top of ``gates`` until one does not; no
-    two neighbours inside a block are equal, so this is a full stack pass
-    over the appended gates.
+    With no tail, a trailing gate of ``sigma`` whose target is not a
+    control of the centre, and which does not read the centre's target,
+    commutes with the centre and would meet its own mirror, so it is left
+    out; a control counts whatever value it fires on. A VTOF is not its
+    own inverse (twice it is a CNOT), so the tail is never left out. At
+    the seam, each gate of the new block cancels an equal CKNOT on top of
+    ``gates`` until one does not; two equal VTOFs are both kept. No two
+    neighbours inside a block are equal (sigma's CNOTs differ in turn and
+    no ``TWISTED_TAILS`` form repeats a gate), so no two equal CKNOTs are
+    left next to each other anywhere in ``gates``.
     """
+    forward, inverse = tail
     *controls, target = map(abs, centre.lines)
-    while sigma and sigma[-1].lines[-1] not in controls and (
+    while not forward and sigma and sigma[-1].lines[-1] not in controls and (
         target not in map(abs, sigma[-1].lines[:-1])
     ):
         sigma.pop()
-    block = (*sigma, centre, *reversed(sigma))
+    block = (*sigma, *forward, centre, *inverse, *reversed(sigma))
     i = 0
-    while gates and i < len(block) and gates[-1] == block[i]:
+    while (
+        gates and i < len(block) and gates[-1] == block[i]
+        and block[i].kind is CKNOT
+    ):
         gates.pop()
         i += 1
     gates += block[i:]
@@ -306,7 +358,7 @@ def synth_general(p: Permutation) -> Circuit:
     gates: list[GateInstance] = []
     for a, b in p.to_transpositions():
         t = n + 1 - (a ^ b).bit_length()
-        sigma, flips = conjugation_gates((a, b) if a < b else (b, a), (t,), n)
+        sigma, _, flips = conjugation_gates((a, b) if a < b else (b, a), (t,), n)
         append_conjugation(gates, sigma, negated_centre(controls[t], t, flips, n))
     macro = Circuit(
         n + 1,

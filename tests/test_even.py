@@ -4,12 +4,20 @@ no-extra-lines pipeline."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import statistics
 
 import pytest
 
-from revsynth.circuit import Circuit, GateKind, LineRole, circuit_to_permutation
+from revsynth.circuit import (
+    Circuit,
+    GateKind,
+    LineRole,
+    apply_gates_bitsliced,
+    circuit_to_permutation,
+    initial_line_masks,
+)
 from revsynth.errors import OddPermutationError, WidthOutOfRangeError
 from revsynth.even import TokenPair, synth_even, synth_fused, synth_pair
 from revsynth.generators import TransformToken
@@ -94,13 +102,25 @@ def test_disjoint_pairs_reject_odd_permutations():
         disjoint_pairs(Permutation.from_cycle(3, (0, 1)).mapping)
 
 
+def pair_block(a: int, b: int, c: int, d: int, n: int) -> list:
+    """The gates ``synth_even`` emits for the pair (a b)(c d) on its own:
+    sigma, the tail's form, the centre with the controls the NOT layer
+    sets negated, the inverse form and sigma reversed."""
+    sigma, tail, flips = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
+    block: list = []
+    centre = negated_centre(range(1, n - 1), n, flips, n)
+    append_conjugation(block, sigma, centre, tail)
+    return block
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_pair_sigma_places_both_transpositions(n: int):
-    # Twisted quadruples (a^b^c^d != 0) end sigma with three Toffolis,
-    # each with a negated control, on lines n-2..n; the others are affine.
-    # sigma and then its NOT layer ``flips`` place the four states, and
-    # sigma around the centre with ``flips`` negating its controls swaps
-    # both pairs.
+    # sigma is CNOTs. A twisted quadruple (a^b^c^d != 0) adds a VTOF form
+    # on lines n-2..n and its inverse; the others are affine and land in
+    # order. sigma, the form and the NOT layer ``flips`` place {a, b} and
+    # {c, d} onto {T-1, T} and {T-3, T-2}, one pair each, and the block
+    # around the centre, with ``flips`` negating its controls, swaps both
+    # pairs.
     top = (1 << n) - 1
     rng = random.Random(n)
     twisted = 0
@@ -111,25 +131,53 @@ def test_pair_sigma_places_both_transpositions(n: int):
         else:
             d = rng.choice([s for s in range(1 << n) if s not in (a, b, c)])
         twisted += bool(a ^ b ^ c ^ d)
-        gates, flips = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
-        assert all(g.kind is GateKind.CKNOT and g.k <= 2 for g in gates)
+        sigma, tail, flips = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
+        assert all(g.kind is GateKind.CKNOT and g.k == 1 for g in sigma)
         assert flips >> n == 0  # state bits of lines 1..n
+        forward, inverse = tail
         if a ^ b ^ c ^ d:
-            assert [g.controls for g in gates[-3:]] == [
-                (-(n - 2), n - 1), (-(n - 2), n), (-(n - 1), n)
-            ]
-            assert flips & 0b111 == 0  # NOTs on lines n-2..n stay in sigma
+            assert 8 <= len(forward) + len(inverse) <= 10
+            assert all(g.kind is GateKind.VTOF for g in forward + inverse)
+            assert {l for g in forward + inverse for l in g.lines} == {
+                n - 2, n - 1, n
+            }
+            assert flips & 0b011 == 0  # only x of lines n-2..n is a control
         else:
-            assert all(g.k == 1 for g in gates)
-        sigma = circuit_to_permutation(Circuit(n, tuple(gates)))
-        placed = tuple(sigma(s) ^ flips for s in (a, b, c, d))
-        assert placed == (top - 1, top, top - 3, top - 2), (a, b, c, d)
-        block: list = []
-        centre = negated_centre(range(1, n - 1), n, flips, n)
-        append_conjugation(block, gates, centre)
+            assert tail == ((), ())
+        placing = circuit_to_permutation(Circuit(n, (*sigma, *forward)))
+        placed = [placing(s) ^ flips for s in (a, b, c, d)]
+        if a ^ b ^ c ^ d:
+            pairs = {frozenset(placed[:2]), frozenset(placed[2:])}
+            assert pairs == {
+                frozenset({top - 1, top}), frozenset({top - 3, top - 2})
+            }, (a, b, c, d)
+        else:
+            assert placed == [top - 1, top, top - 3, top - 2], (a, b, c, d)
+        block = Circuit(n, tuple(pair_block(a, b, c, d, n)))
         want = compose_pairs([((a, b), (c, d))], 1 << n)
-        assert circuit_to_permutation(Circuit(n, tuple(block))).mapping == want
+        assert circuit_to_permutation(block).mapping == want
     assert 0 < twisted < 40
+
+
+@pytest.mark.parametrize("n, count", [(3, 1344), (4, 40320)])
+def test_every_twisted_quadruple_is_swapped(n: int, count: int):
+    # Every ordered quadruple of distinct states whose XOR is nonzero, on
+    # the bitsliced simulator: the block must swap a with b and c with d
+    # and leave every other state alone.
+    start = initial_line_masks(n)
+    seen = 0
+    for a, b, c, d in itertools.permutations(range(1 << n), 4):
+        if not a ^ b ^ c ^ d:
+            continue
+        seen += 1
+        masks = apply_gates_bitsliced(pair_block(a, b, c, d, n), start.copy(), n)
+        ab = 1 << a | 1 << b
+        cd = 1 << c | 1 << d
+        for line in range(1, n + 1):
+            bit = n - line
+            want = start[line] ^ ((a ^ b) >> bit & 1) * ab ^ ((c ^ d) >> bit & 1) * cd
+            assert masks[line] == want, (a, b, c, d)
+    assert seen == count
 
 
 @pytest.mark.parametrize("pair", list(TokenPair))
@@ -221,7 +269,7 @@ def test_even_synthesis_verifies(width: int):
     # Medians over seeds 0-4. Frozen: a change in emitted size updates
     # these and the README's gate-count table together. The third column
     # is the median of the generator-token route this one replaced.
-    [(3, 130, 420), (4, 414, 3225), (5, 1270, 33297), (6, 3800, 269912)],
+    [(3, 58, 420), (4, 226, 3225), (5, 838, 33297), (6, 2882, 269912)],
 )
 def test_even_synthesis_frozen_medians(width: int, median: int, token_route: int):
     counts = [

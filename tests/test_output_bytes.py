@@ -25,7 +25,7 @@ ROUTES = {
 
 DIGESTS = {
     "general": "146e9ab32f7d3724ea16ccd20b43c1485d985479d7b622108eaef9dc1acfd1b5",
-    "even": "dd69091675eb7f91c4052036a7946373fb84b2e1c089576f013ccf4962cf1250",
+    "even": "7d5a59e3c4ea2a5bfad6b1082b2ec1733057c11813f3db20e021dafd4e3e7b5b",
     "conservative": "a4edc3635e189dc30465da203604387b7d9178242782c6d3f70503e30ef71461",
 }
 

@@ -12,6 +12,7 @@ import pytest
 
 from revsynth import expand
 from revsynth.circuit import (
+    CKNOT,
     Circuit,
     GateKind,
     LineRole,
@@ -25,6 +26,8 @@ from revsynth.expand import expand_macros
 from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation, sample_permutation
 from revsynth.toffoli import (
+    NO_TAIL,
+    TWISTED_TAILS,
     append_conjugation,
     conjugation_gates,
     increment,
@@ -89,6 +92,15 @@ def vtof_distances() -> dict[bytes, int]:
     return dist
 
 
+def placed_pairs(image, states, x_flip: int) -> bool:
+    """Whether the 3-line ``image`` sends the first two of ``states`` onto
+    one pair of states that differ on line 3 alone, and the last two onto
+    the other such pair, both in the plane where line 1 is ``1 ^ x_flip``:
+    the two pairs a centre controlled by line 1 with target 3 swaps."""
+    a, b, c, d = (image[s] for s in states)
+    return a ^ b == 1 and c ^ d == 1 and (a ^ c) & 6 == 2 and a >> 2 == 1 ^ x_flip
+
+
 def test_three_line_forms_are_exact_and_shortest():
     dist = vtof_distances()
     assert len(dist) == 40320  # VTOF generates every permutation of 3 bits
@@ -106,6 +118,37 @@ def test_three_line_forms_are_exact_and_shortest():
     assert sizes == {
         (1, 2): 5, (1, -2): 5, (-1, 2): 5, (-1, -2): 5, (1,): 2, (-1,): 6,
     }
+    # Each entry of the table, keyed by the NOT layer on x, y, z (lines 1,
+    # 2, 3 here), places the states v, v^e_z, v^e_y, v^e_x that the CNOTs
+    # leave, where the NOT layer sends v to 0b110. The inverse form undoes
+    # the forward one, and their total length is the least over every
+    # permutation of 3 lines that places those states.
+    inverse_of = {}
+    for image in dist:
+        inverse = bytearray(8)
+        for s, y in enumerate(image):
+            inverse[y] = s
+        inverse_of[image] = bytes(inverse)
+    assert len(TWISTED_TAILS) == 8
+    totals = []
+    for key, (forward, inverse, x_flip) in enumerate(TWISTED_TAILS):
+        v = key ^ 0b110
+        states = (v, v ^ 1, v ^ 2, v ^ 4)
+        f = realized(3, [vtof(c + 1, i + 1, t + 1) for c, i, t in forward])
+        g = realized(3, [vtof(c + 1, i + 1, t + 1) for c, i, t in inverse])
+        assert placed_pairs(f.mapping, states, x_flip), key
+        assert f.then(g).is_identity(), key
+        assert all(h != k for form in (forward, inverse)
+                   for h, k in zip(form, form[1:])), key
+        best = min(
+            dist[image] + dist[inverse_of[image]]
+            for image in dist
+            for flip in (0, 1)
+            if placed_pairs(image, states, flip)
+        )
+        assert len(forward) + len(inverse) == best, key
+        totals.append(best)
+    assert sorted(set(totals)) == [8, 10]
 
 
 def test_fragments_reject_clashing_lines():
@@ -266,7 +309,8 @@ def general_blocks(width: int, pairs) -> tuple[list, list]:
     blocks: list = []
     for a, b in pairs:
         t = width + 1 - (a ^ b).bit_length()
-        sigma, flips = conjugation_gates((min(a, b), max(a, b)), (t,), width)
+        sigma, tail, flips = conjugation_gates((min(a, b), max(a, b)), (t,), width)
+        assert tail == NO_TAIL
         controls = full_width_centre(width, t).controls
         centre = negated_centre(controls, t, flips, width)
         blocks += [*sigma, centre, *reversed(sigma)]
@@ -285,7 +329,8 @@ def test_transposition_gates_cover_both_orders_and_every_pair():
             for b in range(1 << width):
                 if a != b:
                     t = width + 1 - (a ^ b).bit_length()
-                    sigma, flips = conjugation_gates((a, b), (t,), width)
+                    sigma, tail, flips = conjugation_gates((a, b), (t,), width)
+                    assert tail == NO_TAIL
                     assert all(g.k == 1 for g in sigma), (width, a, b)
                     images = realized(width, sigma)
                     assert images(b) ^ flips == top, (width, a, b)
@@ -334,12 +379,45 @@ def test_vtof_macro_lists_cancel_where_blocks_meet(width: int, monkeypatch):
         p = sample_permutation(width, "any", seed)
         netlist = synth_general(p)
         for gates in macros[-2:]:
-            assert all(g != h for g, h in zip(gates, gates[1:])), seed
+            # Equal VTOFs do not cancel, so only CKNOTs are checked.
+            assert all(g != h or g.kind is not CKNOT
+                       for g, h in zip(gates, gates[1:])), seed
         # The general netlist is no longer than its blocks uncancelled.
         uncancelled = general_blocks(width, p.to_transpositions())[1]
         whole = real(Circuit(width + 1, tuple(uncancelled), roles=roles),
                      "VTOF")
         assert len(netlist.gates) <= len(whole.gates), seed
+
+
+def test_append_conjugation_keeps_equal_vtofs_at_the_seam():
+    # VTOF(1, 2, 3) commutes with the CNOT 1 -> 3, and three of it undo
+    # one, so the block is the CNOT. Twice in a row it is a CNOT, not the
+    # identity: the gate that ends the list and the equal one that starts
+    # the block must both stay.
+    g = vtof(1, 2, 3)
+    centre = cknot((1,), 3)
+    gates = [g]
+    append_conjugation(gates, [], centre, ((g,), (g, g, g)))
+    assert gates == [g, g, centre, g, g, g]
+    want = realized(3, [g, centre])
+    assert realized(3, gates) == want
+    assert realized(3, gates[2:]) != want
+
+
+def test_append_conjugation_keeps_a_trailing_vtof():
+    # With x, y, z = 2, 3, 4, VTOF(x, y, z) commutes with the centre on
+    # controls 1, x and target z: both only XOR into z, from lines neither
+    # writes. Its mirror is its inverse, three of it, so leaving out the
+    # form and the inverse as a commuting pair would be wrong.
+    x, y, z = 2, 3, 4
+    g = vtof(x, y, z)
+    centre = cknot((1, x), z)
+    assert realized(4, [g, centre]) == realized(4, [centre, g])
+    gates: list = []
+    append_conjugation(gates, [], centre, ((g,), (g, g, g)))
+    assert gates == [g, centre, g, g, g]
+    assert realized(4, gates) == realized(4, [centre])
+    assert realized(4, [centre, g, g]) != realized(4, [centre])
 
 
 @pytest.mark.parametrize(

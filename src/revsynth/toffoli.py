@@ -14,12 +14,13 @@ of a transposition, or the four of a pair of disjoint transpositions,
 onto states that one wide multi-controlled NOT swaps. The NOT layer is
 folded into that gate instead of being emitted: ``negated_centre`` negates
 each control it flips. A quadruple whose XOR is nonzero also gets a short
-VTOF form on lines n-2..n and its exact inverse (``TWISTED_TAILS``), which
-put its four states where that gate swaps them. ``append_conjugation``
-emits sigma, the form, the centre, the inverse form and sigma reversed,
-and cancels equal CKNOTs where blocks meet. ``synth_general``
-uses one full-width CKNOT per transposition of the target and lowers
-everything to VTOF gates; ``even.synth_even`` uses one C^(n-2)NOT per pair.
+VTOF form on lines n-2..n, which puts its four states where that gate
+swaps them, and the form's exact inverse (``TWISTED_TAILS``).
+``append_conjugation`` emits sigma, the form, the centre, the inverse form
+and sigma reversed, and cancels equal CKNOTs where blocks meet.
+``synth_general`` uses one full-width CKNOT per transposition of the
+target and lowers everything to VTOF gates; ``even.synth_even`` uses one
+C^(n-2)NOT per pair.
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -28,6 +29,7 @@ single extra line serve the whole netlist.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .circuit import CKNOT, Circuit, GateInstance, LineRole, cknot, cnot, vtof
@@ -187,37 +189,37 @@ def synth_add_constant(r: int, lines: Sequence[int]) -> tuple[GateInstance, ...]
     return tuple(gates)
 
 
-# The twisted tails of ``conjugation_gates``, indexed by sigma's NOT layer
-# on lines x, y, z = n-2, n-1, n (bits 2, 1, 0): a VTOF form on those lines,
-# as (control, invert, target) positions with 0, 1, 2 = x, y, z, its exact
-# inverse, and the NOT-layer bit of x, which is 1 when the centre's control
-# x fires on 0. Each form, with that bit, sends the states a, b, c, d that
-# the CNOTs leave as v, v^e_z, v^e_y, v^e_x onto two pairs that differ on z
-# alone, at either y and in the plane the centre fires on; among all such
-# forms its length plus its inverse's is the least, 8 or 10 gates, by a
-# search over the 40 320 permutations of 3 lines that the tests rerun. No
-# form repeats a gate in a row.
+# Twisted tails, indexed by sigma's NOT layer on x, y, z = n-2, n-1, n
+# (bits 2, 1, 0): a VTOF form as (control, invert, target) triples on lines
+# 1, 2, 3 = x, y, z; its exact inverse; and the NOT-layer bit of x (1: the
+# centre's control x fires on 0). Of all the forms that place the two pairs
+# (``conjugation_gates``), each has the least length plus its inverse's, 8
+# or 10, by a search over the 40 320 permutations of 3 lines that the tests
+# rerun. No form repeats a gate in a row.
 TWISTED_TAILS = (
-    (((2, 0, 1), (1, 0, 2), (1, 2, 0), (0, 2, 1)),
-     ((1, 2, 0), (0, 2, 1), (2, 0, 1), (1, 0, 2)), 0),  # 000
-    (((0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0)),
-     ((0, 2, 1), (1, 2, 0), (0, 2, 1), (0, 1, 2), (1, 0, 2), (2, 0, 1)), 0),  # 001
-    (((0, 1, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0), (2, 0, 1)),
-     ((0, 2, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2), (2, 0, 1)), 0),  # 010
-    (((1, 0, 2), (2, 0, 1), (1, 2, 0)),
-     ((0, 2, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (2, 0, 1)), 0),  # 011
-    (((0, 1, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 1, 0)),
-     ((1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 0, 1)), 0),  # 100
-    (((0, 1, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0)),
-     ((0, 2, 1), (2, 1, 0), (2, 0, 1), (1, 0, 2), (0, 1, 2), (1, 0, 2)), 0),  # 101
-    (((0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0), (2, 0, 1), (0, 2, 1)),
-     ((2, 1, 0), (0, 1, 2), (1, 0, 2), (0, 2, 1)), 0),  # 110
-    (((2, 0, 1), (1, 0, 2), (1, 2, 0)),
-     ((0, 2, 1), (1, 2, 0), (0, 2, 1), (2, 0, 1), (1, 0, 2)), 1),  # 111
+    ("312 213 231 132", "231 132 312 213", 0),  # 000
+    ("123 213 312 231", "132 231 132 123 213 312", 0),  # 001
+    ("123 132 312 231 312", "132 321 132 213 312", 0),  # 010
+    ("213 312 231", "132 231 132 213 312", 0),  # 011
+    ("123 132 321 231 321", "231 312 132 213 312", 0),  # 100
+    ("123 132 312 231", "132 321 312 213 123 213", 0),  # 101
+    ("123 213 312 231 312 132", "321 123 213 132", 0),  # 110
+    ("312 213 231", "132 231 132 312 213", 1),  # 111
 )
 
 Tail = tuple[tuple[GateInstance, ...], tuple[GateInstance, ...]]
 NO_TAIL: Tail = ((), ())
+
+
+@functools.cache
+def _twisted_tails(x: int, y: int, z: int) -> tuple[tuple[Tail, int], ...]:
+    """``TWISTED_TAILS`` as gates on lines x, y, z, built on first use."""
+    line = {"1": x, "2": y, "3": z}
+
+    def form(text: str) -> tuple[GateInstance, ...]:
+        return tuple(vtof(line[c], line[i], line[t]) for c, i, t in text.split())
+
+    return tuple(((form(f), form(g)), x_flip) for f, g, x_flip in TWISTED_TAILS)
 
 
 def conjugation_gates(
@@ -277,12 +279,7 @@ def conjugation_gates(
     if len(rows) < 3:
         return gates, NO_TAIL, flips
     z, y, x = pivots
-    xyz = (x, y, z)
-    forward, inverse, x_flip = TWISTED_TAILS[flips & 0b111]  # lines n-2..n
-    tail = (
-        tuple(vtof(xyz[c], xyz[i], xyz[t]) for c, i, t in forward),
-        tuple(vtof(xyz[c], xyz[i], xyz[t]) for c, i, t in inverse),
-    )
+    tail, x_flip = _twisted_tails(x, y, z)[flips & 0b111]  # lines n-2..n
     return gates, tail, flips & ~0b111 | x_flip << 2
 
 

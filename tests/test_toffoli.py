@@ -125,17 +125,18 @@ def test_three_line_forms_are_exact_and_shortest():
     # permutation of 3 lines that places those states.
     inverse_of = {}
     for image in dist:
-        inverse = bytearray(8)
+        back = bytearray(8)
         for s, y in enumerate(image):
-            inverse[y] = s
-        inverse_of[image] = bytes(inverse)
+            back[y] = s
+        inverse_of[image] = bytes(back)
     assert len(TWISTED_TAILS) == 8
     totals = []
     for key, (forward, inverse, x_flip) in enumerate(TWISTED_TAILS):
         v = key ^ 0b110
         states = (v, v ^ 1, v ^ 2, v ^ 4)
-        f = realized(3, [vtof(c + 1, i + 1, t + 1) for c, i, t in forward])
-        g = realized(3, [vtof(c + 1, i + 1, t + 1) for c, i, t in inverse])
+        forward, inverse = forward.split(), inverse.split()
+        f = realized(3, [vtof(*map(int, w)) for w in forward])
+        g = realized(3, [vtof(*map(int, w)) for w in inverse])
         assert placed_pairs(f.mapping, states, x_flip), key
         assert f.then(g).is_identity(), key
         assert all(h != k for form in (forward, inverse)

@@ -213,7 +213,12 @@ NO_TAIL: Tail = ((), ())
 
 @functools.cache
 def _twisted_tails(x: int, y: int, z: int) -> tuple[tuple[Tail, int], ...]:
-    """``TWISTED_TAILS`` as gates on lines x, y, z, built on first use."""
+    """``TWISTED_TAILS`` as gates on lines x, y, z, built on first use.
+
+    The table is text because nested tuple literals of the same forms took
+    about 1.4 ms longer to compile on an import with no bytecode cache;
+    each line triple is decoded once, so a twisted pair costs one lookup.
+    """
     line = {"1": x, "2": y, "3": z}
 
     def form(text: str) -> tuple[GateInstance, ...]:

@@ -1,5 +1,12 @@
 """Macro expansion: lower CKNOT/CKSWAP macro gates to a primitive alphabet.
 
+``synth_general`` and ``synth_even`` hand their macro circuits here with
+the VTOF alphabet. ``synth_conservative`` does not call it: it lowers its
+C^kSWAP centres while assembling the netlist, with the same
+``fredkin.ckswap_fred_with_ancilla`` calls that the FRED alphabet makes
+for its plan, so ``expand_macros(..., "FRED")`` is the public lowering of
+FRED macro netlists and the reference for that route.
+
 The VTOF alphabet lowers CKNOT macros, negated controls included, through
 the recursive helper-line construction; the FRED alphabet lowers CKSWAP
 macros through one borrowed-pair lowering whose controls split in half

@@ -20,6 +20,13 @@ grew 4x per control. Against a 1 ancilla the last two controls fold into
 the pair: 15, 17, 57, 119, 219, 401 gates at k=3..8,
 T1(k) = T1(k-2) + S(k-2) + 2 from k=4. ``ckswap_fred_with_ancilla`` builds
 each (k, ancilla value) once on canonical lines and relabels it per call.
+
+The stage plan is in macro gates, and ``synth_conservative`` lowers each
+C^kSWAP centre as it assembles the netlist, against the ancilla on line
+n+1, so it builds no macro circuit and never calls ``expand_macros``; that
+stays the public lowering of macro netlists, which the VTOF routes use.
+The lines of a state's set bits come from a table per width
+(``_line_table``), built on first use.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import functools
 
 from .circuit import (
+    FRED,
     Circuit,
     GateInstance,
     LineRole,
@@ -48,14 +56,17 @@ CONSERVATIVE_MAX_WIDTH = 12
 _interned_fred = functools.cache(fred)
 
 
-def _set_lines(x: int, n: int) -> list[int]:
-    """The lines of the set bits of ``x``, ascending (line l is bit n - l)."""
-    lines = []
-    while x:
-        top = x.bit_length()
-        lines.append(n + 1 - top)
-        x ^= 1 << (top - 1)
-    return lines
+@functools.cache
+def _line_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry x holds the lines of the set bits of ``x``, ascending (line l
+    is bit n - l), for every ``n``-bit x: at most 4 096 tuples under the
+    width cap, built on first use."""
+    table: list[tuple[int, ...]] = [()]
+    for bit in range(n):
+        # States with top bit ``bit`` put its line ahead of the lower bits'.
+        head = (n - bit,)
+        table += [head + rest for rest in table]
+    return tuple(table)
 
 
 def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
@@ -72,10 +83,11 @@ def _transposition_gates(a: int, b: int, n: int) -> tuple[GateInstance, ...]:
     below weight k are never touched; heavier classes may move (the stage
     plan corrects for that).
     """
-    s = _set_lines(a & ~b, n)
-    m = _set_lines(b & ~a, n)
+    lines = _line_table(n)
+    s = lines[a & ~b]
+    m = lines[b & ~a]
     walk = tuple(_interned_fred(s[0], s[i], m[i]) for i in range(1, len(s)))
-    controls = _set_lines(b ^ 1 << (n - m[0]), n)
+    controls = lines[b ^ 1 << (n - m[0])]
     centre = ckswap(controls, min(s[0], m[0]), max(s[0], m[0]))
     return walk + (centre,) + walk[::-1]
 
@@ -289,6 +301,14 @@ def synth_conservative(p: Permutation) -> Circuit:
     weight-1 data state plus a 0 ancilla has global weight 1, and no
     Fredkin circuit moves such a state at all, so those targets are only
     reachable against a 1-valued ancilla.
+
+    The netlist is assembled in one walk over the stage plan: each FRED
+    is kept and each C^kSWAP centre is lowered in place by
+    ``ckswap_fred_with_ancilla`` against line ``width + 1`` and its
+    declared value, looked up in this module on each call so that a
+    wrapper installed there runs. That is the gate list
+    ``expand_macros(..., "FRED")`` gives for the plan's macro circuit,
+    built without one; the only ``Circuit`` is the netlist.
     """
     n = p.width
     if not CONSERVATIVE_MIN_WIDTH <= n <= CONSERVATIVE_MAX_WIDTH:
@@ -297,14 +317,17 @@ def synth_conservative(p: Permutation) -> Circuit:
             f"{CONSERVATIVE_MIN_WIDTH}..{CONSERVATIVE_MAX_WIDTH}, got {n}"
         )
     plan = conservative_stage_plan(p)
+    class_one_fixed = all(p(1 << i) == 1 << i for i in range(n))
+    value = 0 if class_one_fixed else 1
+    ancilla = n + 1
+    lower = ckswap_fred_with_ancilla
     gates: list[GateInstance] = []
     for _, stage in plan:
-        gates.extend(stage)
-    class_one_fixed = all(p(1 << i) == 1 << i for i in range(n))
-    role = LineRole.ANCILLA0 if class_one_fixed else LineRole.ANCILLA1
-    macro = Circuit(
-        n + 1, tuple(gates), roles=(LineRole.DATA,) * n + (role,)
-    )
-    from .expand import expand_macros
-
-    return expand_macros(macro, "FRED")
+        for gate in stage:
+            kind, lines = gate
+            if kind is FRED:
+                gates.append(gate)
+            else:
+                gates.extend(lower(lines[:-2], lines[-2:], ancilla, value))
+    role = LineRole.ANCILLA1 if value else LineRole.ANCILLA0
+    return Circuit(n + 1, tuple(gates), roles=(LineRole.DATA,) * n + (role,))

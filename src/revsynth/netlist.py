@@ -36,6 +36,9 @@ from .permutation import MAX_WIDTH, parse_decimal
 
 _ROLE_NAMES = {r.value: r for r in LineRole}
 _GATE_KINDS = {k.value: k for k in GateKind}
+# The row keyword of each kind, as a plain str: a str-mixin enum member
+# formats differently across Python versions.
+_KIND_NAMES = {k: k.value for k in GateKind}
 # What a ``lines`` or ``role`` row reads as. Like the None of a blank row it
 # is falsy, so one filter keeps only the gates, and unlike None it can be
 # counted apart from them.
@@ -59,10 +62,13 @@ def write_netlist(circuit: Circuit) -> str:
 
 
 def _gate_text(g: GateInstance) -> str:
-    if g.kind in (GateKind.VTOF, GateKind.FRED):
-        return f"{g.kind.value} {g.lines[0]} {g.lines[1]} {g.lines[2]}"
-    body = " ".join(str(l) for l in g.lines)
-    return f"{g.kind.value} {g.k} {body}"
+    kind, lines = g
+    name = _KIND_NAMES[kind]
+    if kind is VTOF or kind is FRED:
+        a, b, c = lines
+        return f"{name} {a} {b} {c}"
+    body = " ".join(map(str, lines))
+    return f"{name} {g.k} {body}"
 
 
 class _Header:

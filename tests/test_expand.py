@@ -250,7 +250,9 @@ def test_each_distinct_gate_is_validated_once_per_circuit(
     synth, kind: str, width: int, monkeypatch
 ):
     # The gate factories check nothing: one synthesis run validates each
-    # distinct gate of the macro circuit, then each of the netlist.
+    # distinct gate of the netlist and, on the VTOF routes, first each of
+    # the macro circuit they hand to expand_macros. The conservative route
+    # lowers as it assembles and builds no macro circuit.
     macros = []
     real_expand = expand.expand_macros
 
@@ -268,8 +270,12 @@ def test_each_distinct_gate_is_validated_once_per_circuit(
     monkeypatch.setattr(expand, "expand_macros", spy)
     monkeypatch.setattr(GateInstance, "validate", counted)
     netlist = synth(sample_permutation(width, kind, seed=3))
-    (macro,) = macros
-    assert len(calls) == len(set(macro.gates)) + len(set(netlist.gates))
+    if kind == "conservative":
+        assert macros == []
+        assert len(calls) == len(set(netlist.gates))
+    else:
+        (macro,) = macros
+        assert len(calls) == len(set(macro.gates)) + len(set(netlist.gates))
 
 
 @pytest.mark.parametrize(
@@ -287,9 +293,14 @@ def test_each_distinct_macro_gate_is_lowered_once(
     synth, kind, width, alphabet, owner, name, macro_kind, gate_lines,
     monkeypatch,
 ):
-    # The lowering is looked up through its module and called once per
-    # distinct macro gate of the circuit, in first-seen order; calls that a
-    # lowering makes to itself are not counted.
+    # The lowering is looked up through its module at call time; calls
+    # that a lowering makes to itself are not counted. The VTOF routes
+    # hand a macro circuit to expand_macros, which lowers each distinct
+    # macro gate once, in first-seen order. The conservative route lowers
+    # each C^kSWAP centre of its stage plan once, in plan order, as it
+    # assembles the netlist, and expand_macros over the plan's macro
+    # circuit gives the same netlist.
+    p = sample_permutation(width, kind, seed=3)
     macros = []
     real_expand = expand.expand_macros
 
@@ -297,10 +308,6 @@ def test_each_distinct_macro_gate_is_lowered_once(
         macros.append(macro)
         return real_expand(macro, alphabet)
 
-    monkeypatch.setattr(expand, "expand_macros", keep)
-    want = synth(sample_permutation(width, kind, seed=3))
-    (macro,) = macros
-    assert len(macro.gates) > len(macro.distinct_gates)
     lowered = []
     active = []
     real_lower = getattr(owner, name)
@@ -314,8 +321,19 @@ def test_each_distinct_macro_gate_is_lowered_once(
         finally:
             active.pop()
 
+    monkeypatch.setattr(expand, "expand_macros", keep)
     monkeypatch.setattr(owner, name, spy)
-    assert real_expand(macro, alphabet) == want
-    assert lowered == [
-        g.lines for g in macro.distinct_gates if g.kind is macro_kind
-    ]
+    got = synth(p)
+    if alphabet == "FRED":
+        assert macros == []
+        plan = tuple(
+            g for _, stage in fredkin.conservative_stage_plan(p) for g in stage
+        )
+        macro = Circuit(width + 1, plan, got.roles)
+        want = [g.lines for g in macro.gates if g.kind is macro_kind]
+    else:
+        (macro,) = macros
+        assert len(macro.gates) > len(macro.distinct_gates)
+        want = [g.lines for g in macro.distinct_gates if g.kind is macro_kind]
+    assert want and lowered == want
+    assert real_expand(macro, alphabet) == got

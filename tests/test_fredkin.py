@@ -3,7 +3,11 @@ controlled-swap lowerings, and conservative synthesis."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,9 @@ from revsynth.errors import (
     RangeError,
     WidthOutOfRangeError,
 )
+from revsynth.expand import expand_macros
 from revsynth.fredkin import (
+    _line_table,
     _merged_ckswap,
     _transposition_gates,
     ckswap_fred_with_ancilla,
@@ -86,6 +92,31 @@ def test_synth_transposition_adjacent_pair_is_single_gate():
     g = gates[0]
     assert g.kind is GateKind.CKSWAP
     assert g.controls == (1, 2) and set(g.targets) == {3, 4}
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_line_table_lists_set_lines_ascending(n: int):
+    # Line l carries bit n - l, so the lines of x ascend as its bits fall.
+    table = _line_table(n)
+    assert len(table) == 1 << n
+    for x in range(1 << n):
+        assert table[x] == tuple(
+            l for l in range(1, n + 1) if x >> (n - l) & 1
+        )
+
+
+def test_line_table_is_not_built_at_import():
+    code = (
+        "import revsynth.fredkin as f; "
+        "print(f._line_table.cache_info().currsize)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout == "0\n"
 
 
 MERGED_SIZES = {1: 1, 2: 10, 3: 40, 4: 100, 5: 160, 6: 280, 7: 400}
@@ -247,6 +278,36 @@ def test_conservative_synthesis_frozen_counts(n: int, counts: list[int]):
         assert verify_realizes(c, p).passed
         got.append(c.primitive_gate_count())
     assert sorted(got) == counts
+
+
+def _one_hot_fixed(p: Permutation) -> Permutation:
+    """``p`` with every weight-1 state fixed; p maps that class onto
+    itself, so the rest stays a conservative bijection."""
+    return Permutation(p.width, tuple(
+        s if s.bit_count() == 1 else t for s, t in enumerate(p.mapping)
+    ))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_conservative_netlist_is_the_expanded_stage_plan(n: int):
+    # The route lowers each centre as it assembles; expand_macros over the
+    # plan's macro circuit is the oracle, gate for gate, on both ancilla
+    # values.
+    roles = set()
+    for seed in range(5):
+        sampled = sample_permutation(n, "conservative", seed=seed)
+        for p in (sampled, _one_hot_fixed(sampled)):
+            fixed = all(p(1 << i) == 1 << i for i in range(n))
+            role = LineRole.ANCILLA0 if fixed else LineRole.ANCILLA1
+            plan = tuple(
+                g for _, stage in conservative_stage_plan(p) for g in stage
+            )
+            macro = Circuit(n + 1, plan, (LineRole.DATA,) * n + (role,))
+            got = synth_conservative(p)
+            assert got.roles == macro.roles
+            assert got.gates == expand_macros(macro, "FRED").gates
+            roles.add(role)
+    assert roles == {LineRole.ANCILLA0, LineRole.ANCILLA1}
 
 
 def test_conservative_identity_is_empty():

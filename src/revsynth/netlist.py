@@ -15,24 +15,34 @@ CKNOT control that fires on 0 is written with a leading ``-``, as in
 order. ``write_netlist`` followed by ``read_netlist`` reproduces the
 circuit exactly.
 
+Rows end at a line feed, a carriage return or the two together, and
+nowhere else.
+
 A netlist repeats a few distinct gates many times, so ``write_netlist``
-formats each entry of the circuit's ``distinct_gates`` once and
-``read_netlist`` reads each distinct row once, in order of first
-appearance. That order is file order for every row that sets the width or
-a role, because a repeated ``lines`` or ``role`` row is always an error;
-what repeats are gate, blank and comment rows, which change nothing. The
-rows then become gates in one pass through the table of rows read. A line
-field is looked up in a table of the line numbers up to ``MAX_WIDTH``, and
-only a field the table lacks is parsed. On any error the rows are read
-again one by one in file order, so the error names the earliest bad row.
+formats each entry of the circuit's ``distinct_gates`` once.
+``read_netlist`` looks every row up in one process-wide table of canonical
+primitive rows: a row exactly as ``write_netlist`` writes a valid VTOF or
+FRED gate on lines 1..MAX_WIDTH, of which there are at most 6 720. The
+table is empty at import and learns each such row the first time it is
+read, so a row is parsed once per process. The rows it lacks (header,
+blank, comment, macro and non-canonical rows, and rows not seen before)
+are read once each, in order of first appearance. That order is file order
+for every row that sets the width or a role, because a repeated ``lines``
+or ``role`` row is always an error; what repeats are gate, blank and
+comment rows, which change nothing. A line field is looked up in a table
+of the line numbers up to ``MAX_WIDTH``, and only a field the table lacks
+is parsed. A row found in the table skips the width check of its row, so
+on any error the rows are first read again one by one in file order, and
+the error names the earliest bad row.
 """
 
 from __future__ import annotations
 
-from typing import NoReturn
+from functools import partial
+from itertools import filterfalse
 
 from .circuit import CKNOT, FRED, VTOF, Circuit, GateInstance, GateKind, LineRole
-from .permutation import MAX_WIDTH, parse_decimal
+from .permutation import MAX_WIDTH, parse_decimal, split_rows
 
 _ROLE_NAMES = {r.value: r for r in LineRole}
 _GATE_KINDS = {k.value: k for k in GateKind}
@@ -48,6 +58,15 @@ _HEADER = ()
 # gives it the same value, or the same error, as parsing it would.
 _LINES = {str(l): l for l in range(1, MAX_WIDTH + 1)}
 _SIGNED_LINES = {**_LINES, **{f"-{l}": -l for l in _LINES.values()}}
+# The gate of every canonical primitive row read so far, by its text: a row
+# that is exactly ``_gate_text(g)`` of a valid VTOF or FRED gate ``g`` on
+# lines 1..MAX_WIDTH. Such a row reads as the same gate in every netlist,
+# so it is parsed once per process, and there are at most
+# 2 * 16 * 15 * 14 = 6 720 of them. Empty at import.
+_PRIMITIVE_ROWS: dict[str, GateInstance] = {}
+# A GateInstance from its (kind, lines) pair, without a call of the
+# Python-level __new__ that NamedTuple generates.
+_new_gate = partial(tuple.__new__, GateInstance)
 
 
 def write_netlist(circuit: Circuit) -> str:
@@ -74,12 +93,14 @@ def _gate_text(g: GateInstance) -> str:
 class _Header:
     """What the rows read so far declare: the width once ``lines`` is read,
     the role of each line, and how many ``lines`` and ``role`` rows there
-    were."""
+    were. Given ``known``, it adds each canonical primitive row it reads
+    there."""
 
-    def __init__(self) -> None:
+    def __init__(self, known: dict[str, GateInstance] | None = None) -> None:
         self.width: int | None = None
         self.roles: dict[int, LineRole] = {}
         self.rows = 0
+        self.known = known
 
     def read(self, raw: str) -> GateInstance | tuple[()] | None:
         """Read one row: its gate, ``_HEADER`` for a ``lines`` or ``role``
@@ -91,7 +112,7 @@ class _Header:
         keyword = tokens[0]
         kind = _GATE_KINDS.get(keyword)
         if kind is not None:
-            return self._gate(kind, tokens)
+            return self._gate(kind, tokens, raw)
         if keyword == "lines":
             if self.width is not None:
                 raise ValueError("duplicate 'lines' statement")
@@ -117,9 +138,10 @@ class _Header:
         self.rows += 1
         return _HEADER
 
-    def _gate(self, kind: GateKind, tokens: list[str]) -> GateInstance:
-        """The gate of a gate row. Once the width is known, a line above it
-        is reported at this row rather than by ``Circuit``."""
+    def _gate(self, kind: GateKind, tokens: list[str], raw: str) -> GateInstance:
+        """The gate of gate row ``raw``, split into ``tokens``. Once the
+        width is known, a line above it is reported at this row rather than
+        by ``Circuit``."""
         keyword = tokens[0]
         if kind is VTOF or kind is FRED:
             if len(tokens) != 4:
@@ -133,6 +155,7 @@ class _Header:
             if len(tokens) != wanted + 1:
                 raise ValueError(f"{keyword} with k={k} needs {wanted - 1} line numbers")
             fields = tokens[2:]
+        canonical = False
         try:
             if kind is CKNOT:
                 *controls, target = fields
@@ -141,12 +164,22 @@ class _Header:
                 lines = tuple(map(_LINES.__getitem__, fields))
         except KeyError:
             lines = _parse_lines(kind, fields)
+        else:
+            # Every field is spelled as _gate_text spells it, so a primitive
+            # row with no other text or space is _gate_text of its gate,
+            # and the gate is valid when its three lines differ.
+            if self.known is not None and (kind is VTOF or kind is FRED):
+                a, b, c = lines
+                canonical = a != b != c != a and raw == " ".join(tokens)
         width = self.width
         if width is not None and (
             max(map(abs, lines)) if kind is CKNOT else max(lines)
         ) > width:
             raise ValueError(f"gate {keyword} {lines} exceeds width {width}")
-        return GateInstance(kind, lines)
+        gate = _new_gate((kind, lines))
+        if canonical:
+            self.known[raw] = gate
+        return gate
 
 
 def _parse_lines(kind: GateKind, fields: list[str]) -> tuple[int, ...]:
@@ -166,10 +199,11 @@ def _parse_lines(kind: GateKind, fields: list[str]) -> tuple[int, ...]:
     return tuple(lines)
 
 
-def _raise_earliest_error(rows: list[str]) -> NoReturn:
+def _raise_row_error(rows: list[str]) -> None:
     """Read ``rows`` one at a time in file order and raise the error of the
-    first bad row, with its line number. A gate row that already read is
-    not read again, just as the first pass reads each distinct row once."""
+    first bad row, with its line number; return if every row reads. A gate
+    row that already read is not read again, just as the first pass reads
+    each distinct row once."""
     header = _Header()
     gate_rows: set[str] = set()
     for lineno, raw in enumerate(rows, start=1):
@@ -180,7 +214,6 @@ def _raise_earliest_error(rows: list[str]) -> NoReturn:
                 gate_rows.add(raw)
         except ValueError as exc:
             raise ValueError(f"netlist line {lineno}: {exc}") from None
-    raise AssertionError("no row failed when the rows were read one by one")
 
 
 def read_netlist(text: str) -> Circuit:
@@ -191,24 +224,38 @@ def read_netlist(text: str) -> Circuit:
     ``netlist line N:`` with the 1-based number of the earliest bad row. A
     missing ``lines`` row or a missing role has no row to name.
     """
-    rows = text.splitlines()
-    header = _Header()
-    read = dict.fromkeys(rows)
+    rows = split_rows(text)
+    known = _PRIMITIVE_ROWS
+    # The rows the table lacks, in file order: all of them while it is
+    # empty.
+    misses = list(filterfalse(known.__contains__, rows)) if known else rows
+    header = _Header(known)
+    read = dict.fromkeys(misses)
     try:
         for raw in read:
             read[raw] = header.read(raw)
     except ValueError:
-        _raise_earliest_error(rows)
-    marks = list(map(read.__getitem__, rows))
+        _raise_row_error(rows)
+        raise
+    marks = list(map(read.__getitem__, misses))
     # A repeated lines or role row is an error at the repeat, which the
     # pass over distinct rows cannot see.
     if marks.count(_HEADER) != header.rows:
-        _raise_earliest_error(rows)
+        _raise_row_error(rows)
+    if len(marks) < len(rows):
+        # Each other row is known, and so is each row read as a gate here,
+        # unless its text is not canonical.
+        if all(map(known.__contains__, filter(read.get, read))):
+            marks = list(map(known.get, rows))
+        else:
+            marks = list(map(read.get, rows, map(known.get, rows)))
     width = header.width
     if width is None:
         raise ValueError("netlist has no 'lines' statement")
     roles = header.roles
     if sorted(roles) != list(range(1, width + 1)):
+        # A known row above the width is an error of that row, and first.
+        _raise_row_error(rows)
         missing = sorted(set(range(1, width + 1)) - set(roles))
         if missing:
             raise ValueError(f"missing role statements for lines {missing}")
@@ -220,10 +267,12 @@ def read_netlist(text: str) -> Circuit:
             roles=tuple(roles[i] for i in range(1, width + 1)),
         )
     except ValueError as exc:
-        # The header was checked as it was read, so a gate failed: the
-        # earliest in file order, as Circuit names the earliest gate.
-        for lineno, raw in enumerate(rows, start=1):
-            gate = read[raw]
+        # The header was checked as it was read, so a gate failed. A known
+        # row skipped the width check of its row, so the rows are read
+        # again first; if none fails, name the earliest gate Circuit
+        # refuses, as Circuit names the earliest gate.
+        _raise_row_error(rows)
+        for lineno, gate in enumerate(marks, start=1):
             if gate:
                 try:
                     Circuit(width, (gate,))

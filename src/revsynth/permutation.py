@@ -254,10 +254,10 @@ def parse_permutation(text: str) -> Permutation:
     Image-list format: a ``perm <width>`` header followed by the ``2**width``
     images of ``0, 1, 2, ...``. Truth-table format: one ``<input bits>
     <output bits>`` row per state, in any row order. ``#`` starts a comment
-    in both formats.
+    in both formats, and rows end as ``split_rows`` says.
     """
     tokens_by_line: list[list[str]] = []
-    for raw in text.splitlines():
+    for raw in split_rows(text):
         line = raw.split("#", 1)[0].strip()
         if line:
             tokens_by_line.append(line.split())
@@ -280,6 +280,20 @@ def parse_permutation(text: str) -> Permutation:
                     raise ValueError(f"malformed image: {t!r}") from None
         return Permutation(width, flat)
     return _parse_truth_table(tokens_by_line)
+
+
+def split_rows(text: str) -> list[str]:
+    """The rows of ``text``, each ended by a line feed, a carriage return or
+    the two together: the line ends that universal newlines translate.
+    ``str.splitlines`` also ends a row at a form feed, a vertical tab,
+    U+2028 and others, which would turn the rest of a comment into a row.
+    A line end after the last row adds no empty row."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    rows = text.split("\n")
+    if not rows[-1]:
+        rows.pop()
+    return rows
 
 
 def parse_decimal(token: str) -> int:

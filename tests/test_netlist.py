@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from revsynth.circuit import (
     fred,
     vtof,
 )
+from revsynth import netlist
 from revsynth.netlist import read_netlist, write_netlist
 from revsynth.permutation import MAX_WIDTH, parse_decimal
 
@@ -387,3 +392,173 @@ def test_reader_matches_the_row_by_row_reference():
             assert re.fullmatch(r"netlist line \d+: " + re.escape(want[1]), got[1]), text
             seen["row named"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _corpus(seed: int) -> list[str]:
+    """Netlists of every route, mutated as in the reference test above."""
+    rng = random.Random(seed)
+    bases = [
+        synth_general(sample_permutation(3, seed=2)),
+        synth_even(sample_permutation(3, "even", seed=2)),
+        synth_conservative(sample_permutation(4, "conservative", seed=2)),
+        golden_circuit(),
+        signed_circuit(),
+    ]
+    texts = []
+    for base in bases:
+        for _ in range(40):
+            rows = write_netlist(base).splitlines()
+            for mutate in rng.sample(_MUTATIONS, rng.randint(1, 3)):
+                mutate(rows, base.width, rng)
+            texts.append(rng.choice(["\n", "\r\n"]).join(rows) + "\n")
+    return texts
+
+
+def _assert_table_canonical() -> None:
+    """Every key is the text that write_netlist gives its valid primitive
+    gate, on lines 1..MAX_WIDTH."""
+    table = netlist._PRIMITIVE_ROWS
+    assert len(table) <= 2 * MAX_WIDTH * (MAX_WIDTH - 1) * (MAX_WIDTH - 2)
+    for row, gate in table.items():
+        assert gate.kind in (GateKind.VTOF, GateKind.FRED)
+        gate.validate()
+        assert max(gate.lines) <= MAX_WIDTH
+        assert row == netlist._gate_text(gate)
+
+
+def test_reader_reads_alike_with_the_row_table_empty_and_full():
+    texts = _corpus(21)
+    cold = []
+    for text in texts:
+        netlist._PRIMITIVE_ROWS.clear()
+        cold.append(_outcome(read_netlist, text))
+    netlist._PRIMITIVE_ROWS.clear()
+    for text in texts:
+        read_netlist(write_netlist(golden_circuit()))
+        _outcome(read_netlist, text)
+    assert len(netlist._PRIMITIVE_ROWS) > 10
+    warm = [_outcome(read_netlist, text) for text in texts]
+    assert warm == cold
+    assert sum(isinstance(o, Circuit) for o in cold) >= 20
+    assert sum(isinstance(o, tuple) for o in cold) >= 20
+    _assert_table_canonical()
+
+
+_HEAD3_ROWS = _HEAD3.splitlines()
+
+
+@pytest.mark.parametrize(
+    "row, want",
+    [
+        ("FRED 01 2 3", fred(1, 2, 3)),
+        ("FRED 1 2 3  # c", fred(1, 2, 3)),
+        ("FRED 1 2 3#", fred(1, 2, 3)),
+        ("FRED\t1\t2\t3", fred(1, 2, 3)),
+        ("FRED 1  2 3", fred(1, 2, 3)),
+        (" FRED 1 2 3", fred(1, 2, 3)),
+        ("FRED 1 2 3 ", fred(1, 2, 3)),
+        ("VTOF 1 2 3\x0c", vtof(1, 2, 3)),
+        ("CKNOT 1 1 2", cknot((1,), 2)),
+        ("CKNOT 2 -1 2 3", cknot((-1, 2), 3)),
+        ("CKSWAP 1 1 2 3", ckswap((1,), 2, 3)),
+        ("VTOF 1 1 2", r"netlist line 5: gate lines must be distinct, got \(1, 1, 2\)"),
+        ("FRED 0 1 2", r"netlist line 5: lines are 1-based, got \(0, 1, 2\)"),
+        ("FRED 1 2 17", r"netlist line 5: gate FRED \(1, 2, 17\) exceeds width 3"),
+    ],
+)
+def test_rows_outside_the_table_read_as_before(row: str, want):
+    """A row that is not canonical, or not a valid primitive gate, reads
+    as it always has, never enters the table, and keeps its own errors
+    when the same gate's canonical row is known."""
+    canonical = ["FRED 1 2 3", "VTOF 1 2 3", "FRED 1 2 4", "FRED 1 2 16"]
+    wide = "lines 16\n" + "".join(f"role {i} data\n" for i in range(1, 17))
+    for warm in (False, True):
+        netlist._PRIMITIVE_ROWS.clear()
+        if warm:
+            read_netlist(wide + "\n".join(canonical) + "\n")
+            assert set(netlist._PRIMITIVE_ROWS) == set(canonical)
+        for text in (_HEAD3 + row + "\n", _HEAD3 + f"{row}\n{row}\n"):
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=want):
+                    read_netlist(text)
+            else:
+                assert read_netlist(text).gates == (want,) * text.count(row)
+            # A row before the width is read: the Circuit refuses it.
+            if isinstance(want, str) and "exceeds" in want:
+                with pytest.raises(ValueError, match=want.replace("line 5", "line 1")):
+                    read_netlist(f"{row}\n" + _HEAD3)
+        assert row not in netlist._PRIMITIVE_ROWS
+        assert set(netlist._PRIMITIVE_ROWS) <= set(canonical)
+    _assert_table_canonical()
+
+
+def test_crlf_rows_read_as_their_text_without_line_end():
+    netlist._PRIMITIVE_ROWS.clear()
+    rows = [*_HEAD3_ROWS, "FRED 1 2 3", "VTOF 3 1 2", "FRED 1 2 3"]
+    for end in ("\r\n", "\r", "\n"):
+        c = read_netlist(end.join(rows) + end)
+        assert c.gates == (fred(1, 2, 3), vtof(3, 1, 2), fred(1, 2, 3))
+    assert set(netlist._PRIMITIVE_ROWS) == {"FRED 1 2 3", "VTOF 3 1 2"}
+
+
+@pytest.mark.parametrize(
+    "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", " ", " "]
+)
+def test_netlist_rows_end_only_at_line_ends(sep: str):
+    # The commented-out gate stays in its comment.
+    text = _HEAD3 + f"# note{sep}FRED 1 2 4\nFRED 1 2 3\n"
+    assert read_netlist(text).gates == (fred(1, 2, 3),)
+    # An error in a row names that row's line of the file.
+    with pytest.raises(ValueError, match=r"^netlist line 5: gate FRED \(1, 2, 4\)"):
+        read_netlist(_HEAD3 + f"FRED 1 2 4 # note{sep}x\n")
+    with pytest.raises(ValueError, match="^netlist line 6: unknown statement 'FREDX'"):
+        read_netlist(_HEAD3 + f"# note{sep}x\nFREDX 1 2 3\n")
+
+
+def test_a_known_row_too_wide_for_its_netlist_is_an_error_of_its_row():
+    netlist._PRIMITIVE_ROWS.clear()
+    read_netlist("lines 5\n" + "".join(f"role {i} data\n" for i in range(1, 6))
+                 + "FRED 1 2 5\nFRED 1 2 3\n")
+    assert {"FRED 1 2 5", "FRED 1 2 3"} <= set(netlist._PRIMITIVE_ROWS)
+    head4 = "lines 4\n" + "".join(f"role {i} data\n" for i in range(1, 5))
+    # The same gate in another spelling before the width is read.
+    text = "FRED 1 2 5  # c\n" + head4 + "FRED 1 2 3\nFRED 1 2 5\n"
+    with pytest.raises(ValueError, match=r"^netlist line 8: gate FRED \(1, 2, 5\) exceeds"):
+        read_netlist(text)
+    # The same row before and after: Circuit refuses it, at the first.
+    text = "FRED 1 2 5\n" + head4 + "FRED 1 2 3\nFRED 1 2 5\n"
+    with pytest.raises(ValueError, match=r"^netlist line 1: gate FRED \(1, 2, 5\) exceeds"):
+        read_netlist(text)
+    # A row error comes before a missing role.
+    with pytest.raises(ValueError, match=r"^netlist line 3: gate FRED \(1, 2, 3\) exceeds"):
+        read_netlist("lines 2\nrole 1 data\nFRED 1 2 3\n")
+    with pytest.raises(ValueError, match=r"missing role statements for lines \[2\]"):
+        read_netlist("lines 2\nrole 1 data\n")
+
+
+def test_row_table_stays_within_its_bound():
+    netlist._PRIMITIVE_ROWS.clear()
+    for n in range(3, 9):
+        for circuit in (
+            synth_general(sample_permutation(n, seed=n)),
+            synth_even(sample_permutation(n, "even", seed=n)),
+            synth_conservative(sample_permutation(n, "conservative", seed=n)),
+        ):
+            text = write_netlist(circuit)
+            assert read_netlist(text) == circuit
+            assert read_netlist(text) == circuit
+    # Every row of a primitive netlist is known; at n = 8 the general
+    # route alone uses rows on 9 lines.
+    assert len(netlist._PRIMITIVE_ROWS) > 9 * 8 * 7
+    _assert_table_canonical()
+
+
+def test_row_table_is_empty_at_import():
+    code = (
+        "import revsynth, revsynth.netlist as n\n"
+        "assert type(n._PRIMITIVE_ROWS) is dict and not n._PRIMITIVE_ROWS\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

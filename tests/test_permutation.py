@@ -14,6 +14,7 @@ from revsynth.permutation import (
     format_permutation,
     parse_permutation,
     sample_permutation,
+    split_rows,
     transpositions,
 )
 
@@ -224,3 +225,32 @@ def test_parse_errors():
     for image in ("+3", "0_3", "\u0663", "-3"):
         with pytest.raises(ValueError, match="malformed image"):
             parse_permutation(f"perm 2\n0 1 2 {image}")
+
+
+# Characters that str.splitlines treats as line ends but that are not.
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_ENDS)
+def test_spec_rows_end_only_at_line_ends(sep: str):
+    # The separator stays inside the comment, so its row adds no images.
+    p = parse_permutation(f"perm 2\n0 1 2 3 # was: {sep}1 0 2 3\n")
+    assert p == Permutation.identity(2)
+    # Outside a comment it is whitespace between two images of one row.
+    assert parse_permutation(f"perm 2\n1 0{sep}2 3\n").mapping == (1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_spec_line_ends(end: str):
+    text = end.join(["perm 2", "# images", "3 2", "1 0"]) + end
+    assert parse_permutation(text).mapping == (3, 2, 1, 0)
+
+
+def test_split_rows():
+    assert split_rows("") == []
+    assert split_rows("a") == ["a"]
+    assert split_rows("a\n") == ["a"]
+    assert split_rows("a\n\n") == ["a", ""]
+    assert split_rows("a\r\nb\rc\n\rd") == ["a", "b", "c", "", "d"]
+    joined = "x".join(NOT_LINE_ENDS)
+    assert split_rows(joined + "\n") == [joined]

@@ -62,7 +62,9 @@ _SIGNED_LINES = {**_LINES, **{f"-{l}": -l for l in _LINES.values()}}
 # that is exactly ``_gate_text(g)`` of a valid VTOF or FRED gate ``g`` on
 # lines 1..MAX_WIDTH. Such a row reads as the same gate in every netlist,
 # so it is parsed once per process, and there are at most
-# 2 * 16 * 15 * 14 = 6 720 of them. Empty at import.
+# 2 * 16 * 15 * 14 = 6 720 of them. Empty at import. A key is only ever
+# added, with the one gate its text reads as, so concurrent reads need no
+# lock.
 _PRIMITIVE_ROWS: dict[str, GateInstance] = {}
 # A GateInstance from its (kind, lines) pair, without a call of the
 # Python-level __new__ that NamedTuple generates.
@@ -93,14 +95,13 @@ def _gate_text(g: GateInstance) -> str:
 class _Header:
     """What the rows read so far declare: the width once ``lines`` is read,
     the role of each line, and how many ``lines`` and ``role`` rows there
-    were. Given ``known``, it adds each canonical primitive row it reads
-    there."""
+    were. Each canonical primitive row it reads goes into
+    ``_PRIMITIVE_ROWS``."""
 
-    def __init__(self, known: dict[str, GateInstance] | None = None) -> None:
+    def __init__(self) -> None:
         self.width: int | None = None
         self.roles: dict[int, LineRole] = {}
         self.rows = 0
-        self.known = known
 
     def read(self, raw: str) -> GateInstance | tuple[()] | None:
         """Read one row: its gate, ``_HEADER`` for a ``lines`` or ``role``
@@ -168,7 +169,7 @@ class _Header:
             # Every field is spelled as _gate_text spells it, so a primitive
             # row with no other text or space is _gate_text of its gate,
             # and the gate is valid when its three lines differ.
-            if self.known is not None and (kind is VTOF or kind is FRED):
+            if kind is VTOF or kind is FRED:
                 a, b, c = lines
                 canonical = a != b != c != a and raw == " ".join(tokens)
         width = self.width
@@ -178,7 +179,7 @@ class _Header:
             raise ValueError(f"gate {keyword} {lines} exceeds width {width}")
         gate = _new_gate((kind, lines))
         if canonical:
-            self.known[raw] = gate
+            _PRIMITIVE_ROWS[raw] = gate
         return gate
 
 
@@ -229,7 +230,7 @@ def read_netlist(text: str) -> Circuit:
     # The rows the table lacks, in file order: all of them while it is
     # empty.
     misses = list(filterfalse(known.__contains__, rows)) if known else rows
-    header = _Header(known)
+    header = _Header()
     read = dict.fromkeys(misses)
     try:
         for raw in read:

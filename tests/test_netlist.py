@@ -432,9 +432,7 @@ def test_reader_reads_alike_with_the_row_table_empty_and_full():
     for text in texts:
         netlist._PRIMITIVE_ROWS.clear()
         cold.append(_outcome(read_netlist, text))
-    netlist._PRIMITIVE_ROWS.clear()
     for text in texts:
-        read_netlist(write_netlist(golden_circuit()))
         _outcome(read_netlist, text)
     assert len(netlist._PRIMITIVE_ROWS) > 10
     warm = [_outcome(read_netlist, text) for text in texts]
@@ -442,9 +440,6 @@ def test_reader_reads_alike_with_the_row_table_empty_and_full():
     assert sum(isinstance(o, Circuit) for o in cold) >= 20
     assert sum(isinstance(o, tuple) for o in cold) >= 20
     _assert_table_canonical()
-
-
-_HEAD3_ROWS = _HEAD3.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -461,9 +456,9 @@ _HEAD3_ROWS = _HEAD3.splitlines()
         ("CKNOT 1 1 2", cknot((1,), 2)),
         ("CKNOT 2 -1 2 3", cknot((-1, 2), 3)),
         ("CKSWAP 1 1 2 3", ckswap((1,), 2, 3)),
-        ("VTOF 1 1 2", r"netlist line 5: gate lines must be distinct, got \(1, 1, 2\)"),
-        ("FRED 0 1 2", r"netlist line 5: lines are 1-based, got \(0, 1, 2\)"),
-        ("FRED 1 2 17", r"netlist line 5: gate FRED \(1, 2, 17\) exceeds width 3"),
+        ("VTOF 1 1 2", r"gate lines must be distinct, got \(1, 1, 2\)"),
+        ("FRED 0 1 2", r"lines are 1-based, got \(0, 1, 2\)"),
+        ("FRED 1 2 17", r"gate FRED \(1, 2, 17\) exceeds width 3"),
     ],
 )
 def test_rows_outside_the_table_read_as_before(row: str, want):
@@ -477,16 +472,16 @@ def test_rows_outside_the_table_read_as_before(row: str, want):
         if warm:
             read_netlist(wide + "\n".join(canonical) + "\n")
             assert set(netlist._PRIMITIVE_ROWS) == set(canonical)
-        for text in (_HEAD3 + row + "\n", _HEAD3 + f"{row}\n{row}\n"):
+        for text, lineno, count in (
+            (_HEAD3 + f"{row}\n", 5, 1),
+            (_HEAD3 + f"{row}\n{row}\n", 5, 2),
+            (f"{row}\n" + _HEAD3, 1, 1),  # before the width is known
+        ):
             if isinstance(want, str):
-                with pytest.raises(ValueError, match=want):
+                with pytest.raises(ValueError, match=f"^netlist line {lineno}: {want}$"):
                     read_netlist(text)
             else:
-                assert read_netlist(text).gates == (want,) * text.count(row)
-            # A row before the width is read: the Circuit refuses it.
-            if isinstance(want, str) and "exceeds" in want:
-                with pytest.raises(ValueError, match=want.replace("line 5", "line 1")):
-                    read_netlist(f"{row}\n" + _HEAD3)
+                assert read_netlist(text).gates == (want,) * count
         assert row not in netlist._PRIMITIVE_ROWS
         assert set(netlist._PRIMITIVE_ROWS) <= set(canonical)
     _assert_table_canonical()
@@ -494,7 +489,7 @@ def test_rows_outside_the_table_read_as_before(row: str, want):
 
 def test_crlf_rows_read_as_their_text_without_line_end():
     netlist._PRIMITIVE_ROWS.clear()
-    rows = [*_HEAD3_ROWS, "FRED 1 2 3", "VTOF 3 1 2", "FRED 1 2 3"]
+    rows = [*_HEAD3.splitlines(), "FRED 1 2 3", "VTOF 3 1 2", "FRED 1 2 3"]
     for end in ("\r\n", "\r", "\n"):
         c = read_netlist(end.join(rows) + end)
         assert c.gates == (fred(1, 2, 3), vtof(3, 1, 2), fred(1, 2, 3))

@@ -31,6 +31,9 @@ rewrites into a local once, so no per-gate attribute or enum-class lookup
 and no second read of a mask runs in the loop. Masks are read back with
 one binary-string row per line, transposed into per-state integers.
 
+Macro lowerings take their helper lines in ``helper_order``, one rule
+over line roles.
+
 The gate factories only construct. A ``Circuit`` keeps its distinct gates
 in first-seen order (``distinct_gates``), validates each once and records
 whether all are primitive, so ``primitive_gate_count`` and
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import WidthOutOfRangeError
 from .permutation import MAX_WIDTH, Permutation
@@ -67,6 +70,24 @@ class LineRole(str, enum.Enum):
     ANCILLA0 = "ancilla0"
     ANCILLA1 = "ancilla1"
     BORROWED = "borrowed"
+
+
+_HELPER_RANK = {
+    LineRole.DATA: 0,
+    LineRole.BORROWED: 1,
+    LineRole.ANCILLA0: 2,
+    LineRole.ANCILLA1: 2,
+}
+
+
+def helper_order(roles: Sequence[LineRole]) -> list[int]:
+    """Lines ``1..len(roles)`` in the order a macro lowering takes its
+    helpers from them: data before borrowed before ancilla, highest index
+    first within a role. Full-width gates thus borrow the designated
+    extra line while narrower gates borrow nearby data lines."""
+    return sorted(
+        range(1, len(roles) + 1), key=lambda l: (_HELPER_RANK[roles[l - 1]], -l)
+    )
 
 
 class GateInstance(NamedTuple):

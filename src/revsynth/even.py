@@ -14,10 +14,11 @@ nonzero the CNOTs of sigma are followed by a VTOF form of 3 to 6 gates on
 lines n-2..n and the centre by its exact inverse form, 8 or 10 VTOF in
 all (``toffoli.TWISTED_TAILS``); they put {a, b} and {c, d} onto those
 two pairs, either way round. Line n-1 is the one line that C^(n-2)NOT
-leaves free, so macro expansion borrows it and the width never grows.
+leaves free, so its lowering borrows it and the width never grows.
 ``toffoli.append_conjugation`` leaves out the CNOTs at the end of an
 untwisted ``sigma`` that commute with the C^(n-2)NOT and cancels equal
-CNOTs where pairs meet, before expansion.
+CNOTs where pairs meet; ``toffoli.lower_cknots`` then lowers the macro
+list straight into the netlist, with no macro circuit in between.
 
 The paper's own generator argument survives as line-exact fragments that
 ``synth_even`` does not call: ``synth_pair`` realizes each adjacent pair
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 import enum
 
-from .circuit import Circuit, GateInstance, cknot
+from .circuit import Circuit, GateInstance, LineRole, cknot, helper_order
 from .errors import OddPermutationError, WidthOutOfRangeError
 # Unused here, but perfbench/tracer.py patches this binding and requires it.
 from .generators import decompose_generators  # noqa: F401
 from .permutation import MAX_WIDTH, Permutation, disjoint_pairs
 from .toffoli import (
-    append_conjugation, conjugation_gates, increment, negated_centre,
+    append_conjugation, conjugation_gates, increment, lower_cknots, negated_centre,
 )
 
 EVEN_MIN_WIDTH = 3
@@ -103,9 +104,9 @@ def synth_even(p: Permutation) -> Circuit:
     C^(n-2)NOT with the controls that the NOT layer flips negated, the
     inverse form and ``sigma`` reversed (``append_conjugation``), less the
     CNOTs at the end of an untwisted ``sigma`` that commute with the
-    C^(n-2)NOT and the equal CNOTs that cancel where pairs meet. Macro
-    expansion then lowers the CNOTs and the C^(n-2)NOT, borrowing free
-    data lines; the VTOF gates pass through.
+    C^(n-2)NOT and the equal CNOTs that cancel where pairs meet.
+    ``lower_cknots`` then lowers the CNOTs and the C^(n-2)NOT, borrowing
+    free data lines; the VTOF gates pass through.
     """
     n = p.width
     if not EVEN_MIN_WIDTH <= n <= MAX_WIDTH:
@@ -121,7 +122,5 @@ def synth_even(p: Permutation) -> Circuit:
         append_conjugation(
             gates, sigma, negated_centre(controls, n, flips, n), tail
         )
-    macro = Circuit(n, tuple(gates))
-    from .expand import expand_macros
-
-    return expand_macros(macro, "VTOF")
+    roles = (LineRole.DATA,) * n
+    return Circuit(n, lower_cknots(gates, helper_order(roles)), roles)

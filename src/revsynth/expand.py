@@ -1,11 +1,14 @@
 """Macro expansion: lower CKNOT/CKSWAP macro gates to a primitive alphabet.
 
-``synth_general`` and ``synth_even`` hand their macro circuits here with
-the VTOF alphabet. ``synth_conservative`` does not call it: it lowers its
-C^kSWAP centres while assembling the netlist, with the same
+``expand_macros`` is the public lowering of macro netlists, such as the
+CKNOT and CKSWAP rows that ``read_netlist`` accepts. No synthesis route
+calls it. ``synth_general`` and ``synth_even`` pass their macro lists to
+``toffoli.lower_cknots``, the one VTOF lowering, which
+``expand_macros(..., "VTOF")`` calls too. ``synth_conservative`` lowers
+its C^kSWAP centres while assembling the netlist, with the same
 ``fredkin.ckswap_fred_with_ancilla`` calls that the FRED alphabet makes
-for its plan, so ``expand_macros(..., "FRED")`` is the public lowering of
-FRED macro netlists and the reference for that route.
+for its plan, so ``expand_macros(..., "FRED")`` is the reference for that
+route.
 
 The VTOF alphabet lowers CKNOT macros, negated controls included, through
 the recursive helper-line construction; the FRED alphabet lowers CKSWAP
@@ -18,38 +21,22 @@ last two controls into a pair with the ancilla and adds a C^(k-2)SWAP tail.
 Every CKSWAP, k=0 and k=1 included, goes through that one lowering, which
 is built once per (k, ancilla value) on canonical lines and relabelled
 onto each gate's lines.
-Helper lines are chosen deterministically: among lines a gate does not
-touch, prefer data, then borrowed, then ancilla, and within a role class
-take the highest index first. That rule keeps full-width gates on the
-designated extra line while narrower gates borrow nearby data lines.
-``free_lines`` defines the rule; ``expand_macros`` sorts the lines into
-that order once per call and only filters out each gate's own lines. It
-lowers each of the circuit's ``distinct_gates`` once, with
+Helper lines are chosen deterministically, in ``circuit.helper_order``:
+among lines a gate does not touch, prefer data, then borrowed, then
+ancilla, and within a role class take the highest index first.
+``free_lines`` applies that rule to one gate; ``expand_macros`` sorts the
+lines into that order once per call and only filters out each gate's own
+lines. It lowers each distinct gate of the circuit once, with
 ``toffoli.synth_cknot`` or ``fredkin.ckswap_fred_with_ancilla`` looked up
-once per call in their modules, so a wrapper installed there runs.
+in their modules at call time, so a wrapper installed there runs.
 """
 
 from __future__ import annotations
 
-from . import fredkin, toffoli
-from .circuit import CKNOT, CKSWAP, FRED, VTOF, Circuit, GateInstance, LineRole
+from . import fredkin
+from .circuit import CKSWAP, FRED, Circuit, GateInstance, LineRole, helper_order
 from .errors import InsufficientLinesError, UnexpandableMacroError
-
-_ROLE_PREFERENCE = {
-    LineRole.DATA: 0,
-    LineRole.BORROWED: 1,
-    LineRole.ANCILLA0: 2,
-    LineRole.ANCILLA1: 2,
-}
-
-
-def _preference_order(circuit: Circuit) -> list[int]:
-    """Every line of ``circuit``, data before borrowed before ancilla,
-    highest index first within a role."""
-    return sorted(
-        range(1, circuit.width + 1),
-        key=lambda l: (_ROLE_PREFERENCE[circuit.roles[l - 1]], -l),
-    )
+from .toffoli import lower_cknots
 
 
 def _unused(order: list[int], lines: tuple[int, ...]) -> list[int]:
@@ -61,31 +48,12 @@ def free_lines(circuit: Circuit, gate: GateInstance) -> list[int]:
     """Lines not touched by ``gate``, in helper-preference order (data
     before borrowed before ancilla; highest index first within a role).
     A negated CKNOT control touches its line."""
-    return _unused(_preference_order(circuit), tuple(map(abs, gate.lines)))
-
-
-def _vtof_expander(circuit: Circuit):
-    order = _preference_order(circuit)
-    synth_cknot = toffoli.synth_cknot
-
-    def expand(gate: GateInstance) -> tuple[GateInstance, ...]:
-        kind, lines = gate
-        if kind is VTOF:
-            return (gate,)
-        if kind is not CKNOT:
-            raise UnexpandableMacroError(
-                f"cannot expand {kind.value} over the VTOF alphabet"
-            )
-        # A negated control -l takes line l out of the helpers.
-        used = tuple(map(abs, lines))
-        return synth_cknot(gate.k, lines + tuple(_unused(order, used)))
-
-    return expand
+    return _unused(helper_order(circuit.roles), tuple(map(abs, gate.lines)))
 
 
 def _fred_expander(circuit: Circuit):
-    order = _preference_order(circuit)
     roles = circuit.roles
+    order = helper_order(roles)
     anc0 = [l for l in order if roles[l - 1] is LineRole.ANCILLA0]
     anc1 = [l for l in order if roles[l - 1] is LineRole.ANCILLA1]
     lower_ckswap = fredkin.ckswap_fred_with_ancilla
@@ -136,13 +104,11 @@ def expand_macros(circuit: Circuit, alphabet: str) -> Circuit:
     call, so the helper order is computed once per call too.
     """
     if alphabet == "VTOF":
-        expander = _vtof_expander(circuit)
+        gates = lower_cknots(circuit.gates, helper_order(circuit.roles))
     elif alphabet == "FRED":
         expander = _fred_expander(circuit)
+        lowered = {gate: expander(gate) for gate in circuit.distinct_gates}
+        gates = [g for gate in circuit.gates for g in lowered[gate]]
     else:
         raise ValueError(f"unknown alphabet {alphabet!r}")
-    lowered = {gate: expander(gate) for gate in circuit.distinct_gates}
-    gates: list[GateInstance] = []
-    for gate in circuit.gates:
-        gates.extend(lowered[gate])
-    return Circuit(circuit.width, tuple(gates), roles=circuit.roles)
+    return Circuit(circuit.width, gates, roles=circuit.roles)

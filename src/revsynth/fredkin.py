@@ -24,7 +24,9 @@ each (k, ancilla value) once on canonical lines and relabels it per call.
 The stage plan is in macro gates, and ``synth_conservative`` lowers each
 C^kSWAP centre as it assembles the netlist, against the ancilla on line
 n+1, so it builds no macro circuit and never calls ``expand_macros``; that
-stays the public lowering of macro netlists, which the VTOF routes use.
+stays the public lowering of macro netlists. No route calls it: the VTOF
+routes lower their CKNOT lists with ``toffoli.lower_cknots``, which
+``expand_macros`` also calls for VTOF.
 The lines of a state's set bits come from a table per width
 (``_line_table``), built on first use.
 """

@@ -19,8 +19,12 @@ swaps them, and the form's exact inverse (``TWISTED_TAILS``).
 ``append_conjugation`` emits sigma, the form, the centre, the inverse form
 and sigma reversed, and cancels equal CKNOTs where blocks meet.
 ``synth_general`` uses one full-width CKNOT per transposition of the
-target and lowers everything to VTOF gates; ``even.synth_even`` uses one
-C^(n-2)NOT per pair.
+target; ``even.synth_even`` uses one C^(n-2)NOT per pair. Each route
+passes its macro list straight to ``lower_cknots``, which lowers each
+distinct CKNOT once with ``synth_cknot`` on helper lines taken in
+``circuit.helper_order``, and puts the result in the one ``Circuit`` it
+returns: no macro circuit is built. ``expand.expand_macros`` lowers VTOF
+macro netlists with the same function.
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -30,10 +34,15 @@ single extra line serve the whole netlist.
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from typing import Sequence
 
-from .circuit import CKNOT, Circuit, GateInstance, LineRole, cknot, cnot, vtof
-from .errors import InsufficientLinesError, WidthOutOfRangeError
+from .circuit import (
+    CKNOT, VTOF, Circuit, GateInstance, LineRole, cknot, cnot, helper_order, vtof,
+)
+from .errors import (
+    InsufficientLinesError, UnexpandableMacroError, WidthOutOfRangeError,
+)
 # Unused here, but perfbench/tracer.py patches this binding and requires it.
 from .generators import decompose_generators  # noqa: F401
 from .permutation import Permutation
@@ -148,6 +157,33 @@ def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
     )
     join = synth_ccnot(peeled, x, target)
     return child + join + child + join
+
+
+def lower_cknots(
+    gates: Sequence[GateInstance], helpers: Sequence[int]
+) -> tuple[GateInstance, ...]:
+    """``gates`` with each CKNOT replaced by its ``synth_cknot`` lowering;
+    VTOF gates pass through.
+
+    A CKNOT's free lines are the lines of ``helpers`` that it does not
+    touch (a negated control -l touches line l), kept in order. Each
+    distinct CKNOT is lowered once, in first-seen order, and its block
+    reused for every repeat. A CKSWAP or FRED raises
+    ``UnexpandableMacroError``.
+    """
+    lowered: dict[GateInstance, tuple[GateInstance, ...]] = {}
+    for gate in dict.fromkeys(gates):
+        kind, lines = gate
+        if kind is VTOF:
+            lowered[gate] = (gate,)
+        elif kind is CKNOT:
+            free = tuple(l for l in helpers if l not in lines and -l not in lines)
+            lowered[gate] = synth_cknot(len(lines) - 1, lines + free)
+        else:
+            raise UnexpandableMacroError(
+                f"cannot expand {kind.value} over the VTOF alphabet"
+            )
+    return tuple(chain.from_iterable(map(lowered.__getitem__, gates)))
 
 
 def increment(lines: Sequence[int]) -> tuple[GateInstance, ...]:
@@ -345,9 +381,10 @@ def synth_general(p: Permutation) -> Circuit:
     T, and one full-width CKNOT on target t, controlled by every other data
     line and negated where that layer flips it, swaps them. So the only
     wide gate per transposition is that CKNOT (transformation-based
-    synthesis in the style of Miller, Maslov and Dueck, DAC 2003). Macro
-    expansion then lowers the blocks: the full-width CKNOTs borrow the
-    extra line, the CNOTs borrow free data lines.
+    synthesis in the style of Miller, Maslov and Dueck, DAC 2003).
+    ``lower_cknots`` then lowers the blocks in ``helper_order``: the
+    full-width CKNOTs borrow the extra line, the CNOTs borrow free data
+    lines.
     """
     n = p.width
     if not GENERAL_MIN_WIDTH <= n <= GENERAL_MAX_WIDTH:
@@ -362,11 +399,5 @@ def synth_general(p: Permutation) -> Circuit:
         t = n + 1 - (a ^ b).bit_length()
         sigma, _, flips = conjugation_gates((a, b) if a < b else (b, a), (t,), n)
         append_conjugation(gates, sigma, negated_centre(controls[t], t, flips, n))
-    macro = Circuit(
-        n + 1,
-        tuple(gates),
-        roles=(LineRole.DATA,) * n + (LineRole.BORROWED,),
-    )
-    from .expand import expand_macros
-
-    return expand_macros(macro, "VTOF")
+    roles = (LineRole.DATA,) * n + (LineRole.BORROWED,)
+    return Circuit(n + 1, lower_cknots(gates, helper_order(roles)), roles)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from revsynth import expand, fredkin, toffoli
+from revsynth import even, fredkin, toffoli
 from revsynth.circuit import (
     Circuit,
     GateInstance,
@@ -249,16 +249,16 @@ def test_expand_matches_per_gate_helper_choice(alphabet: str):
 def test_each_distinct_gate_is_validated_once_per_circuit(
     synth, kind: str, width: int, monkeypatch
 ):
-    # The gate factories check nothing: one synthesis run validates each
-    # distinct gate of the netlist and, on the VTOF routes, first each of
-    # the macro circuit they hand to expand_macros. The conservative route
-    # lowers as it assembles and builds no macro circuit.
-    macros = []
-    real_expand = expand.expand_macros
+    # The gate factories check nothing, and no route builds a macro
+    # circuit: one synthesis run constructs one Circuit, its netlist, which
+    # validates each distinct gate once.
+    p = sample_permutation(width, kind, seed=3)
+    built = []
+    real_init = Circuit.__post_init__
 
-    def spy(macro, alphabet):
-        macros.append(macro)
-        return real_expand(macro, alphabet)
+    def counted_init(circuit):
+        built.append(circuit)
+        real_init(circuit)
 
     calls = []
     real_validate = GateInstance.validate
@@ -267,15 +267,11 @@ def test_each_distinct_gate_is_validated_once_per_circuit(
         calls.append(gate)
         real_validate(gate)
 
-    monkeypatch.setattr(expand, "expand_macros", spy)
+    monkeypatch.setattr(Circuit, "__post_init__", counted_init)
     monkeypatch.setattr(GateInstance, "validate", counted)
-    netlist = synth(sample_permutation(width, kind, seed=3))
-    if kind == "conservative":
-        assert macros == []
-        assert len(calls) == len(set(netlist.gates))
-    else:
-        (macro,) = macros
-        assert len(calls) == len(set(macro.gates)) + len(set(netlist.gates))
+    netlist = synth(p)
+    assert len(built) == 1 and built[0] is netlist
+    assert len(calls) == len(set(netlist.gates))
 
 
 @pytest.mark.parametrize(
@@ -283,11 +279,13 @@ def test_each_distinct_gate_is_validated_once_per_circuit(
     [
         (synth_general, "any", 4, "VTOF", toffoli, "synth_cknot",
          GateKind.CKNOT, lambda k, lines: lines[:k + 1]),
+        (synth_even, "even", 4, "VTOF", toffoli, "synth_cknot",
+         GateKind.CKNOT, lambda k, lines: lines[:k + 1]),
         (synth_conservative, "conservative", 6, "FRED", fredkin,
          "ckswap_fred_with_ancilla", GateKind.CKSWAP,
          lambda controls, targets, *_: (*controls, *targets)),
     ],
-    ids=["VTOF", "FRED"],
+    ids=["VTOF", "VTOF-even", "FRED"],
 )
 def test_each_distinct_macro_gate_is_lowered_once(
     synth, kind, width, alphabet, owner, name, macro_kind, gate_lines,
@@ -295,18 +293,18 @@ def test_each_distinct_macro_gate_is_lowered_once(
 ):
     # The lowering is looked up through its module at call time; calls
     # that a lowering makes to itself are not counted. The VTOF routes
-    # hand a macro circuit to expand_macros, which lowers each distinct
-    # macro gate once, in first-seen order. The conservative route lowers
-    # each C^kSWAP centre of its stage plan once, in plan order, as it
-    # assembles the netlist, and expand_macros over the plan's macro
-    # circuit gives the same netlist.
+    # pass their macro list to toffoli.lower_cknots, which lowers each
+    # distinct CKNOT once, in first-seen order. The conservative route
+    # lowers each C^kSWAP centre of its stage plan once, in plan order, as
+    # it assembles the netlist. On every route, expand_macros over the
+    # macro circuit gives the same netlist.
     p = sample_permutation(width, kind, seed=3)
     macros = []
-    real_expand = expand.expand_macros
+    real_lower_cknots = toffoli.lower_cknots
 
-    def keep(macro, alphabet):
-        macros.append(macro)
-        return real_expand(macro, alphabet)
+    def keep(gates, helpers):
+        macros.append(tuple(gates))
+        return real_lower_cknots(gates, helpers)
 
     lowered = []
     active = []
@@ -321,7 +319,8 @@ def test_each_distinct_macro_gate_is_lowered_once(
         finally:
             active.pop()
 
-    monkeypatch.setattr(expand, "expand_macros", keep)
+    monkeypatch.setattr(toffoli, "lower_cknots", keep)
+    monkeypatch.setattr(even, "lower_cknots", keep)
     monkeypatch.setattr(owner, name, spy)
     got = synth(p)
     if alphabet == "FRED":
@@ -332,8 +331,9 @@ def test_each_distinct_macro_gate_is_lowered_once(
         macro = Circuit(width + 1, plan, got.roles)
         want = [g.lines for g in macro.gates if g.kind is macro_kind]
     else:
-        (macro,) = macros
+        (gates,) = macros
+        macro = Circuit(got.width, gates, got.roles)
         assert len(macro.gates) > len(macro.distinct_gates)
         want = [g.lines for g in macro.distinct_gates if g.kind is macro_kind]
     assert want and lowered == want
-    assert real_expand(macro, alphabet) == got
+    assert expand_macros(macro, alphabet) == got

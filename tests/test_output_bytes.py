@@ -57,3 +57,22 @@ def test_wide_conservative_netlists_are_frozen():
         p = sample_permutation(n, "conservative", seed)
         digest.update(write_netlist(synth_conservative(p)).encode())
     assert digest.hexdigest() == WIDE_CONSERVATIVE_DIGEST
+
+
+# The widths whose VTOF routes lower C^5NOT to C^7NOT centres: general's
+# full-width CKNOT has n-1 controls, even's C^(n-2)NOT n-2.
+WIDE_VTOF = tuple(
+    (route, n, 0) for route in ("general", "even") for n in (6, 7, 8)
+)
+WIDE_VTOF_DIGEST = (
+    "d192a0719e19349f307c6c8925ad59d55f87137ed98ec36536f3bd127536dae2"
+)
+
+
+def test_wide_vtof_netlists_are_frozen():
+    digest = hashlib.sha256()
+    for route, n, seed in WIDE_VTOF:
+        synth, kind, _ = ROUTES[route]
+        p = sample_permutation(n, kind, seed)
+        digest.update(write_netlist(synth(p)).encode())
+    assert digest.hexdigest() == WIDE_VTOF_DIGEST

@@ -10,7 +10,7 @@ from collections import deque
 
 import pytest
 
-from revsynth import expand
+from revsynth import even, toffoli
 from revsynth.circuit import (
     CKNOT,
     Circuit,
@@ -365,28 +365,34 @@ def test_general_macro_is_one_wide_cknot_per_transposition(width: int):
 
 @pytest.mark.parametrize("width", [3, 4, 5, 6])
 def test_vtof_macro_lists_cancel_where_blocks_meet(width: int, monkeypatch):
-    # Both routes hand their macro list to expand_macros; catch it there.
+    # Both routes hand their macro list to lower_cknots; catch it there,
+    # at the binding each route calls.
     macros = []
-    real = expand.expand_macros
+    real = toffoli.lower_cknots
 
-    def spy(macro, alphabet):
-        macros.append(macro.gates)
-        return real(macro, alphabet)
+    def spy(gates, helpers):
+        macros.append(tuple(gates))
+        return real(gates, helpers)
 
-    monkeypatch.setattr(expand, "expand_macros", spy)
+    monkeypatch.setattr(toffoli, "lower_cknots", spy)
+    monkeypatch.setattr(even, "lower_cknots", spy)
     roles = (LineRole.DATA,) * width + (LineRole.BORROWED,)
     for seed in range(6):
+        macros.clear()
         synth_even(sample_permutation(width, "even", seed))
         p = sample_permutation(width, "any", seed)
         netlist = synth_general(p)
-        for gates in macros[-2:]:
+        # One list per route, so the checks below never pass vacuously.
+        assert len(macros) == 2 and all(macros), seed
+        for gates in macros:
             # Equal VTOFs do not cancel, so only CKNOTs are checked.
             assert all(g != h or g.kind is not CKNOT
                        for g, h in zip(gates, gates[1:])), seed
         # The general netlist is no longer than its blocks uncancelled.
         uncancelled = general_blocks(width, p.to_transpositions())[1]
-        whole = real(Circuit(width + 1, tuple(uncancelled), roles=roles),
-                     "VTOF")
+        whole = expand_macros(
+            Circuit(width + 1, tuple(uncancelled), roles=roles), "VTOF"
+        )
         assert len(netlist.gates) <= len(whole.gates), seed
 
 

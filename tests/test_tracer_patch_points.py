@@ -63,6 +63,10 @@ def test_tracer_installs_and_restores(monkeypatch):
             # The traced run goes through the wrappers and the warm caches;
             # its bytes must not differ.
             assert revsynth.write_netlist(c) == text
+        # No route expands a macro circuit, so feed the expansion wrapper
+        # directly, through the module binding that the tracer patches.
+        macro = revsynth.circuit.Circuit(3, (revsynth.circuit.cnot(1, 2),))
+        assert revsynth.expand.expand_macros(macro, "VTOF").is_primitive()
     finally:
         tracer.restore()
     for owner, attrs in saved:

@@ -35,16 +35,28 @@ Macro lowerings take their helper lines in ``helper_order``, one rule
 over line roles.
 
 The gate factories only construct. A ``Circuit`` keeps its distinct gates
-in first-seen order (``distinct_gates``), validates each once and records
-whether all are primitive, so ``primitive_gate_count`` and
-``is_primitive`` are O(1) for the primitive netlists synthesis emits.
+in first-seen order (``distinct_gates``) and the index of each gate among
+them (``order``), validates each distinct gate once and records whether
+all are primitive, so ``primitive_gate_count`` and ``is_primitive`` are
+O(1) for the primitive netlists synthesis emits. Every synthesis route and
+``expand_macros`` already holds its lowerings as distinct gates plus an
+order, so it builds its circuit with ``Circuit.from_table``, which hashes
+no gate: the gate list is ``play(table, order)``, one C-level pass. The
+producers number gates into the table with a ``GateNumbering``, only the
+few distinct gates of each lowered block, not every gate they emit;
+``lower_table`` does that for a lowering of each distinct macro. A
+circuit built from a gate list hashes each gate once to find its distinct
+gates, and once more for ``order`` the first time that is read.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import WidthOutOfRangeError
 from .permutation import MAX_WIDTH, Permutation
@@ -199,6 +211,57 @@ def swap(t1: int, t2: int) -> GateInstance:
     return ckswap((), t1, t2)
 
 
+def play(
+    table: Sequence[GateInstance], order: Sequence[int]
+) -> tuple[GateInstance, ...]:
+    """The gate list of a table and its order: ``table[i]`` for each ``i``
+    of ``order``, in one C-level pass (``itemgetter`` returns a bare item
+    for one index and needs at least one)."""
+    if len(order) > 1:
+        return itemgetter(*order)(table)
+    return tuple(table[i] for i in order)
+
+
+class GateNumbering(dict):
+    """Gate to its index in order of first lookup: a gate not seen before
+    gets the next index. A hit is one C-level lookup, so a producer
+    numbers a block with ``list(map(numbering.__getitem__, block))``; the
+    keys, in order, are its table of distinct gates."""
+
+    def __missing__(self, gate: GateInstance) -> int:
+        self[gate] = index = len(self)
+        return index
+
+
+def gate_table(
+    gates: Iterable[GateInstance],
+) -> tuple[tuple[GateInstance, ...], tuple[int, ...]]:
+    """The distinct gates of ``gates`` in first-seen order, and the index
+    among them of each gate: the form ``Circuit.from_table`` takes."""
+    index = GateNumbering()
+    order = tuple(map(index.__getitem__, gates))
+    return tuple(index), order
+
+
+def lower_table(
+    macros: Sequence[GateInstance],
+    order: Sequence[int],
+    lower: Callable[[GateInstance], Iterable[GateInstance]],
+) -> tuple[tuple[GateInstance, ...], tuple[int, ...]]:
+    """The table and order of the circuit that plays ``macros[i]`` for
+    each ``i`` of ``order``, with each macro replaced by the gates
+    ``lower(macro)`` gives.
+
+    ``macros`` are distinct, in order of first use, as a circuit's
+    ``distinct_gates`` are. Each is lowered once, in order, and the gates
+    of its block are numbered once into the table, so the table is in
+    first-seen order and the order plays each macro's block of numbers.
+    """
+    index = GateNumbering()
+    blocks = [list(map(index.__getitem__, lower(m))) for m in macros]
+    return tuple(index), tuple(chain.from_iterable(map(blocks.__getitem__, order)))
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate list over ``width`` lines with per-line roles.
@@ -215,6 +278,7 @@ class Circuit:
     gates are bad, the error names the earliest.
     The same pass records whether every gate is primitive, which makes
     the primitive count of a primitive netlist its length.
+    ``order`` holds the index of each gate in ``distinct_gates``.
     """
 
     width: int
@@ -224,6 +288,37 @@ class Circuit:
         init=False, repr=False, compare=False
     )
     _all_primitive: bool = field(init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_table(
+        cls,
+        width: int,
+        table: Sequence[GateInstance],
+        order: Sequence[int],
+        roles: Sequence[LineRole] = (),
+    ) -> Circuit:
+        """The circuit that plays ``table[i]`` for each ``i`` of ``order``,
+        for a producer that already holds its gates in that form.
+
+        ``table`` must list distinct gates in order of first use, each
+        used at least once, and ``order`` must hold indices
+        ``0 .. len(table) - 1``: then ``table`` is the ``distinct_gates``
+        that the gate-list constructor would find, and no gate is hashed.
+        Each entry is validated once, as there, and
+        ``gates[i] is distinct_gates[order[i]]``.
+        """
+        # Attributes are set in the order the gate-list constructor sets
+        # them, so both kinds of circuit share one instance layout.
+        circuit = cls.__new__(cls)
+        setattr_ = object.__setattr__
+        table = tuple(table)
+        setattr_(circuit, "width", width)
+        setattr_(circuit, "gates", play(table, order))
+        setattr_(circuit, "roles", roles)
+        setattr_(circuit, "distinct_gates", table)
+        circuit.__post_init__()
+        setattr_(circuit, "order", tuple(order))
+        return circuit
 
     def __post_init__(self) -> None:
         if not 1 <= self.width <= MAX_WIDTH:
@@ -237,10 +332,14 @@ class Circuit:
             raise ValueError(
                 f"{self.width} lines need {self.width} roles, got {len(self.roles)}"
             )
-        object.__setattr__(self, "gates", tuple(self.gates))
-        # Long gate lists repeat a few distinct gates; dict.fromkeys keeps
-        # first-seen order, so the earliest bad gate is the one reported.
-        distinct = tuple(dict.fromkeys(self.gates))
+        # ``from_table`` sets the gates and their table before this runs.
+        distinct = getattr(self, "distinct_gates", None)
+        if distinct is None:
+            object.__setattr__(self, "gates", tuple(self.gates))
+            # Long gate lists repeat a few distinct gates; dict.fromkeys
+            # keeps first-seen order, so the earliest bad gate is the one
+            # reported.
+            distinct = tuple(dict.fromkeys(self.gates))
         all_primitive = True
         for g in distinct:
             g.validate()
@@ -254,6 +353,14 @@ class Circuit:
                 all_primitive = False
         object.__setattr__(self, "distinct_gates", distinct)
         object.__setattr__(self, "_all_primitive", all_primitive)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """The index in ``distinct_gates`` of each gate, so that
+        ``gates[i] == distinct_gates[order[i]]``. ``from_table`` stores
+        it; a circuit built from a gate list looks each gate up on first
+        use."""
+        return gate_table(self.gates)[1]
 
     def lines_with_role(self, role: LineRole) -> tuple[int, ...]:
         return tuple(

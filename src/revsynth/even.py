@@ -18,7 +18,8 @@ leaves free, so its lowering borrows it and the width never grows.
 ``toffoli.append_conjugation`` leaves out the CNOTs at the end of an
 untwisted ``sigma`` that commute with the C^(n-2)NOT and cancels equal
 CNOTs where pairs meet; ``toffoli.lower_cknots`` then lowers the macro
-list straight into the netlist, with no macro circuit in between.
+list, as distinct macros plus an order, straight into the netlist's table
+of distinct gates and its order, with no macro circuit in between.
 
 The paper's own generator argument survives as line-exact fragments that
 ``synth_even`` does not call: ``synth_pair`` realizes each adjacent pair
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 import enum
 
-from .circuit import Circuit, GateInstance, LineRole, cknot, helper_order
+from .circuit import (
+    Circuit, GateInstance, LineRole, cknot, gate_table, helper_order,
+)
 from .errors import OddPermutationError, WidthOutOfRangeError
 # Unused here, but perfbench/tracer.py patches this binding and requires it.
 from .generators import decompose_generators  # noqa: F401
@@ -123,4 +126,5 @@ def synth_even(p: Permutation) -> Circuit:
             gates, sigma, negated_centre(controls, n, flips, n), tail
         )
     roles = (LineRole.DATA,) * n
-    return Circuit(n, lower_cknots(gates, helper_order(roles)), roles)
+    table, order = lower_cknots(*gate_table(gates), helper_order(roles))
+    return Circuit.from_table(n, table, order, roles)

@@ -2,9 +2,10 @@
 
 ``expand_macros`` is the public lowering of macro netlists, such as the
 CKNOT and CKSWAP rows that ``read_netlist`` accepts. No synthesis route
-calls it. ``synth_general`` and ``synth_even`` pass their macro lists to
-``toffoli.lower_cknots``, the one VTOF lowering, which
-``expand_macros(..., "VTOF")`` calls too. ``synth_conservative`` lowers
+calls it. ``synth_general`` and ``synth_even`` pass their macro lists, as
+distinct macros plus an order, to ``toffoli.lower_cknots``, the one VTOF
+lowering, which ``expand_macros(..., "VTOF")`` calls too with the macro
+circuit's ``distinct_gates`` and ``order``. ``synth_conservative`` lowers
 its C^kSWAP centres while assembling the netlist, with the same
 ``fredkin.ckswap_fred_with_ancilla`` calls that the FRED alphabet makes
 for its plan, so ``expand_macros(..., "FRED")`` is the reference for that
@@ -26,15 +27,23 @@ among lines a gate does not touch, prefer data, then borrowed, then
 ancilla, and within a role class take the highest index first.
 ``free_lines`` applies that rule to one gate; ``expand_macros`` sorts the
 lines into that order once per call and only filters out each gate's own
-lines. It lowers each distinct gate of the circuit once, with
+lines. It lowers each entry of the circuit's ``distinct_gates`` once, with
 ``toffoli.synth_cknot`` or ``fredkin.ckswap_fred_with_ancilla`` looked up
-in their modules at call time, so a wrapper installed there runs.
+in their modules at call time, so a wrapper installed there runs; a
+CKSWAP's block comes back as distinct gates plus an order and is played
+out with one map. ``circuit.lower_table`` numbers the gates of each block
+once into a table of distinct primitive gates and plays the blocks in the
+circuit's ``order``, and ``Circuit.from_table`` takes both, so the
+expansion hashes each block's gates once, not every gate it emits.
 """
 
 from __future__ import annotations
 
 from . import fredkin
-from .circuit import CKSWAP, FRED, Circuit, GateInstance, LineRole, helper_order
+from .circuit import (
+    CKSWAP, FRED, Circuit, GateInstance, LineRole, helper_order, lower_table,
+    play,
+)
 from .errors import InsufficientLinesError, UnexpandableMacroError
 from .toffoli import lower_cknots
 
@@ -85,7 +94,7 @@ def _fred_expander(circuit: Circuit):
             raise InsufficientLinesError(
                 f"CKSWAP with {k} controls needs a free ancilla line to expand"
             )
-        return lower_ckswap(gate.controls, gate.targets, ancilla, value)
+        return play(*lower_ckswap(gate.controls, gate.targets, ancilla, value))
 
     return expand
 
@@ -101,14 +110,14 @@ def expand_macros(circuit: Circuit, alphabet: str) -> Circuit:
     Each entry of ``circuit.distinct_gates`` is lowered once per call and
     its block reused for every repeat: the lowering depends only on the
     gate and on the circuit's width and roles, which are fixed within the
-    call, so the helper order is computed once per call too.
+    call, so the helper order is computed once per call too. The result is
+    built from the blocks' distinct gates and the circuit's ``order``.
     """
+    macros, order = circuit.distinct_gates, circuit.order
     if alphabet == "VTOF":
-        gates = lower_cknots(circuit.gates, helper_order(circuit.roles))
+        table, order = lower_cknots(macros, order, helper_order(circuit.roles))
     elif alphabet == "FRED":
-        expander = _fred_expander(circuit)
-        lowered = {gate: expander(gate) for gate in circuit.distinct_gates}
-        gates = [g for gate in circuit.gates for g in lowered[gate]]
+        table, order = lower_table(macros, order, _fred_expander(circuit))
     else:
         raise ValueError(f"unknown alphabet {alphabet!r}")
-    return Circuit(circuit.width, gates, roles=circuit.roles)
+    return Circuit.from_table(circuit.width, table, order, circuit.roles)

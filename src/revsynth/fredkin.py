@@ -27,6 +27,12 @@ n+1, so it builds no macro circuit and never calls ``expand_macros``; that
 stays the public lowering of macro netlists. No route calls it: the VTOF
 routes lower their CKNOT lists with ``toffoli.lower_cknots``, which
 ``expand_macros`` also calls for VTOF.
+``ckswap_fred_with_ancilla`` returns its block as its distinct gates plus
+the order they play in. ``synth_conservative`` numbers each block's
+distinct gates, and each walk FRED, into one table of the netlist's
+distinct gates, extends the netlist's order with the block's order mapped
+through those numbers, and hands both to ``Circuit.from_table``, so only
+the few distinct gates of each block are hashed, not every emitted gate.
 The lines of a state's set bits come from a table per width
 (``_line_table``), built on first use.
 """
@@ -39,11 +45,13 @@ from .circuit import (
     FRED,
     Circuit,
     GateInstance,
+    GateNumbering,
     LineRole,
     apply_gates_bitsliced,
     ckswap,
     fred,
     initial_line_masks,
+    play,
 )
 from .errors import DepthLimitError, RangeError, WidthOutOfRangeError
 from .permutation import Permutation, transpositions
@@ -144,7 +152,7 @@ def ckswap_fred_with_ancilla(
     targets: tuple[int, int],
     ancilla_line: int | None,
     ancilla_value: int,
-) -> tuple[GateInstance, ...]:
+) -> tuple[list[GateInstance], tuple[int, ...]]:
     """Lower a multi-controlled swap to FRED gates against one ancilla
     line whose starting value is known.
 
@@ -169,14 +177,16 @@ def ckswap_fred_with_ancilla(
 
     The lowering treats its lines as labels only, so it is built once per
     (k, ancilla value) on canonical lines and each call renames the lines
-    of that block's few distinct gates, as interned FREDs. k=1 is a bare
-    FRED that never reads the ancilla, so ``ancilla_line`` may be ``None``
-    there.
+    of that block's few distinct gates, as interned FREDs. The block is
+    returned in that form: its distinct gates in order of first use, and
+    the index among them of each gate it plays, so the gate list is
+    ``circuit.play(distinct, order)``. k=1 is a bare FRED that never reads
+    the ancilla, so ``ancilla_line`` may be ``None`` there.
     """
     triples, order = _ckswap_shape(len(controls), ancilla_value)
     lines = (*controls, *targets, ancilla_line)
     distinct = [_interned_fred(lines[c], lines[a], lines[b]) for c, a, b in triples]
-    return tuple(map(distinct.__getitem__, order))
+    return distinct, order
 
 
 @functools.cache
@@ -204,7 +214,7 @@ def _ckswap_shape(
         head, (u, v) = controls[:-2], controls[-2:]
         fold = fred(u, v, ancilla_line)
         gates = (
-            *ckswap_fred_with_ancilla(head, targets, ancilla_line, 1),
+            *play(*ckswap_fred_with_ancilla(head, targets, ancilla_line, 1)),
             fold,
             *_merged_ckswap(head, targets, (u, ancilla_line)),
             fold,
@@ -223,7 +233,9 @@ def _ckswap_shape(
             pair = (controls[-1], ancilla_line)
             gates = tuple(_merged_ckswap(controls[:-1], targets, pair))
         if ancilla_value == 1:
-            gates += ckswap_fred_with_ancilla(controls[:-1], targets, ancilla_line, 1)
+            gates += play(
+                *ckswap_fred_with_ancilla(controls[:-1], targets, ancilla_line, 1)
+            )
     slots: dict[tuple[int, ...], int] = {}
     order = tuple(slots.setdefault(g.lines, len(slots)) for g in gates)
     return tuple((c - 1, a - 1, b - 1) for c, a, b in slots), order
@@ -248,9 +260,9 @@ def synth_ckswap(k: int) -> Circuit:
     controls = tuple(range(1, k + 1))
     targets = (k + 1, k + 2)
     ancilla = k + 3
-    gates = ckswap_fred_with_ancilla(controls, targets, ancilla, 0)
+    distinct, order = ckswap_fred_with_ancilla(controls, targets, ancilla, 0)
     roles = (LineRole.DATA,) * (k + 2) + (LineRole.ANCILLA0,)
-    return Circuit(k + 3, gates, roles=roles)
+    return Circuit.from_table(k + 3, distinct, order, roles)
 
 
 def conservative_stage_plan(
@@ -310,7 +322,11 @@ def synth_conservative(p: Permutation) -> Circuit:
     declared value, looked up in this module on each call so that a
     wrapper installed there runs. That is the gate list
     ``expand_macros(..., "FRED")`` gives for the plan's macro circuit,
-    built without one; the only ``Circuit`` is the netlist.
+    built without one; the only ``Circuit`` is the netlist, built with
+    ``Circuit.from_table``. Each walk FRED and each distinct gate of a
+    block is numbered into the netlist's table of distinct gates, in
+    first-seen order, and the block's order plays those numbers in one
+    C-level pass (``circuit.play``).
     """
     n = p.width
     if not CONSERVATIVE_MIN_WIDTH <= n <= CONSERVATIVE_MAX_WIDTH:
@@ -323,13 +339,19 @@ def synth_conservative(p: Permutation) -> Circuit:
     value = 0 if class_one_fixed else 1
     ancilla = n + 1
     lower = ckswap_fred_with_ancilla
-    gates: list[GateInstance] = []
+    # Its keys, in order, are the netlist's table of distinct gates.
+    index = GateNumbering()
+    number = index.__getitem__
+    order: list[int] = []
     for _, stage in plan:
         for gate in stage:
             kind, lines = gate
             if kind is FRED:
-                gates.append(gate)
+                order.append(number(gate))
             else:
-                gates.extend(lower(lines[:-2], lines[-2:], ancilla, value))
+                distinct, local = lower(lines[:-2], lines[-2:], ancilla, value)
+                order += play(list(map(number, distinct)), local)
     role = LineRole.ANCILLA1 if value else LineRole.ANCILLA0
-    return Circuit(n + 1, tuple(gates), roles=(LineRole.DATA,) * n + (role,))
+    return Circuit.from_table(
+        n + 1, tuple(index), order, (LineRole.DATA,) * n + (role,)
+    )

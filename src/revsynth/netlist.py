@@ -19,7 +19,12 @@ Rows end at a line feed, a carriage return or the two together, and
 nowhere else.
 
 A netlist repeats a few distinct gates many times, so ``write_netlist``
-formats each entry of the circuit's ``distinct_gates`` once.
+formats each entry of the circuit's ``distinct_gates`` once, into a list,
+and writes the rows by the circuit's ``order``, the index of each gate in
+that list; no gate is hashed for a circuit that ``Circuit.from_table``
+built, as every synthesis route's netlist is. ``read_netlist`` builds its
+circuit from the gate list, so such a circuit finds its ``order`` when it
+is written.
 ``read_netlist`` looks every row up in one process-wide table of canonical
 primitive rows: a row exactly as ``write_netlist`` writes a valid VTOF or
 FRED gate on lines 1..MAX_WIDTH, of which there are at most 6 720. The
@@ -41,7 +46,9 @@ from __future__ import annotations
 from functools import partial
 from itertools import filterfalse
 
-from .circuit import CKNOT, FRED, VTOF, Circuit, GateInstance, GateKind, LineRole
+from .circuit import (
+    CKNOT, FRED, VTOF, Circuit, GateInstance, GateKind, LineRole, play,
+)
 from .permutation import MAX_WIDTH, parse_decimal, split_rows
 
 _ROLE_NAMES = {r.value: r for r in LineRole}
@@ -73,12 +80,13 @@ _new_gate = partial(tuple.__new__, GateInstance)
 
 def write_netlist(circuit: Circuit) -> str:
     """The netlist text of ``circuit``: its width, one role row per line,
-    then one row per gate in order. Each distinct gate is formatted once."""
+    then one row per gate in order. Each distinct gate is formatted once
+    and its text played by ``circuit.order``."""
     out = [f"lines {circuit.width}"]
     for idx, role in enumerate(circuit.roles, start=1):
         out.append(f"role {idx} {role.value}")
-    texts = {g: _gate_text(g) for g in circuit.distinct_gates}
-    out.extend(map(texts.__getitem__, circuit.gates))
+    texts = list(map(_gate_text, circuit.distinct_gates))
+    out += play(texts, circuit.order)
     return "\n".join(out) + "\n"
 
 

@@ -20,11 +20,16 @@ swaps them, and the form's exact inverse (``TWISTED_TAILS``).
 and sigma reversed, and cancels equal CKNOTs where blocks meet.
 ``synth_general`` uses one full-width CKNOT per transposition of the
 target; ``even.synth_even`` uses one C^(n-2)NOT per pair. Each route
-passes its macro list straight to ``lower_cknots``, which lowers each
-distinct CKNOT once with ``synth_cknot`` on helper lines taken in
-``circuit.helper_order``, and puts the result in the one ``Circuit`` it
-returns: no macro circuit is built. ``expand.expand_macros`` lowers VTOF
-macro netlists with the same function.
+splits its macro list into distinct macros plus an order
+(``circuit.gate_table``) and passes both to ``lower_cknots``, which
+lowers each distinct CKNOT once with ``synth_cknot`` on helper lines taken
+in ``circuit.helper_order`` and, through ``circuit.lower_table``, numbers
+the gates of its block once into a table of distinct netlist gates. The
+route hands that table and the netlist's order to ``Circuit.from_table``,
+the one ``Circuit`` it returns: no macro circuit is built, and the lowered
+gates are hashed once per distinct block, not once per emitted gate.
+``expand.expand_macros`` lowers VTOF macro netlists with the same
+function, from the macro circuit's own ``distinct_gates`` and ``order``.
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -34,11 +39,11 @@ single extra line serve the whole netlist.
 from __future__ import annotations
 
 import functools
-from itertools import chain
 from typing import Sequence
 
 from .circuit import (
-    CKNOT, VTOF, Circuit, GateInstance, LineRole, cknot, cnot, helper_order, vtof,
+    CKNOT, VTOF, Circuit, GateInstance, LineRole, cknot, cnot, gate_table,
+    helper_order, lower_table, vtof,
 )
 from .errors import (
     InsufficientLinesError, UnexpandableMacroError, WidthOutOfRangeError,
@@ -160,30 +165,31 @@ def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
 
 
 def lower_cknots(
-    gates: Sequence[GateInstance], helpers: Sequence[int]
-) -> tuple[GateInstance, ...]:
-    """``gates`` with each CKNOT replaced by its ``synth_cknot`` lowering;
-    VTOF gates pass through.
+    macros: Sequence[GateInstance], order: Sequence[int], helpers: Sequence[int]
+) -> tuple[tuple[GateInstance, ...], tuple[int, ...]]:
+    """``circuit.lower_table`` of the macro list that plays ``macros[i]``
+    for each ``i`` of ``order``, with each CKNOT replaced by its
+    ``synth_cknot`` lowering and VTOF gates passed through: a table of
+    distinct gates plus an order, the form ``Circuit.from_table`` takes.
 
     A CKNOT's free lines are the lines of ``helpers`` that it does not
     touch (a negated control -l touches line l), kept in order. Each
-    distinct CKNOT is lowered once, in first-seen order, and its block
-    reused for every repeat. A CKSWAP or FRED raises
+    distinct macro is lowered once. A CKSWAP or FRED raises
     ``UnexpandableMacroError``.
     """
-    lowered: dict[GateInstance, tuple[GateInstance, ...]] = {}
-    for gate in dict.fromkeys(gates):
+
+    def lower(gate: GateInstance) -> Sequence[GateInstance]:
         kind, lines = gate
         if kind is VTOF:
-            lowered[gate] = (gate,)
-        elif kind is CKNOT:
+            return (gate,)
+        if kind is CKNOT:
             free = tuple(l for l in helpers if l not in lines and -l not in lines)
-            lowered[gate] = synth_cknot(len(lines) - 1, lines + free)
-        else:
-            raise UnexpandableMacroError(
-                f"cannot expand {kind.value} over the VTOF alphabet"
-            )
-    return tuple(chain.from_iterable(map(lowered.__getitem__, gates)))
+            return synth_cknot(len(lines) - 1, lines + free)
+        raise UnexpandableMacroError(
+            f"cannot expand {kind.value} over the VTOF alphabet"
+        )
+
+    return lower_table(macros, order, lower)
 
 
 def increment(lines: Sequence[int]) -> tuple[GateInstance, ...]:
@@ -400,4 +406,5 @@ def synth_general(p: Permutation) -> Circuit:
         sigma, _, flips = conjugation_gates((a, b) if a < b else (b, a), (t,), n)
         append_conjugation(gates, sigma, negated_centre(controls[t], t, flips, n))
     roles = (LineRole.DATA,) * n + (LineRole.BORROWED,)
-    return Circuit(n + 1, lower_cknots(gates, helper_order(roles)), roles)
+    table, order = lower_cknots(*gate_table(gates), helper_order(roles))
+    return Circuit.from_table(n + 1, table, order, roles)

@@ -196,7 +196,10 @@ def _reference_lowering(circuit: Circuit, gate, alphabet: str):
         ancilla, value = None, 0
     else:
         raise InsufficientLinesError("no ancilla for this CKSWAP")
-    return ckswap_fred_with_ancilla(gate.controls, gate.targets, ancilla, value)
+    distinct, order = ckswap_fred_with_ancilla(
+        gate.controls, gate.targets, ancilla, value
+    )
+    return tuple(distinct[i] for i in order)
 
 
 @pytest.mark.parametrize("alphabet", ["VTOF", "FRED"])
@@ -250,8 +253,9 @@ def test_each_distinct_gate_is_validated_once_per_circuit(
     synth, kind: str, width: int, monkeypatch
 ):
     # The gate factories check nothing, and no route builds a macro
-    # circuit: one synthesis run constructs one Circuit, its netlist, which
-    # validates each distinct gate once.
+    # circuit: one synthesis run constructs one Circuit, its netlist, from
+    # a table of distinct gates plus an order, and validates each table
+    # entry once, in first-seen order.
     p = sample_permutation(width, kind, seed=3)
     built = []
     real_init = Circuit.__post_init__
@@ -272,6 +276,9 @@ def test_each_distinct_gate_is_validated_once_per_circuit(
     netlist = synth(p)
     assert len(built) == 1 and built[0] is netlist
     assert len(calls) == len(set(netlist.gates))
+    assert calls == list(netlist.distinct_gates)
+    # The order was handed over, not looked up from the gates.
+    assert "order" in vars(netlist)
 
 
 @pytest.mark.parametrize(
@@ -293,18 +300,21 @@ def test_each_distinct_macro_gate_is_lowered_once(
 ):
     # The lowering is looked up through its module at call time; calls
     # that a lowering makes to itself are not counted. The VTOF routes
-    # pass their macro list to toffoli.lower_cknots, which lowers each
-    # distinct CKNOT once, in first-seen order. The conservative route
-    # lowers each C^kSWAP centre of its stage plan once, in plan order, as
-    # it assembles the netlist. On every route, expand_macros over the
-    # macro circuit gives the same netlist.
+    # pass their macro list to toffoli.lower_cknots as distinct macros in
+    # first-seen order plus an order, and it lowers each distinct CKNOT
+    # once, in first-seen order; its table and order are the netlist's.
+    # The conservative route lowers each C^kSWAP centre of its stage plan
+    # once, in plan order, as it assembles the netlist. On every route,
+    # expand_macros over the macro circuit gives the same netlist, with
+    # the same distinct gates and order.
     p = sample_permutation(width, kind, seed=3)
     macros = []
     real_lower_cknots = toffoli.lower_cknots
 
-    def keep(gates, helpers):
-        macros.append(tuple(gates))
-        return real_lower_cknots(gates, helpers)
+    def keep(distinct, order, helpers):
+        result = real_lower_cknots(distinct, order, helpers)
+        macros.append((tuple(distinct), tuple(order), result))
+        return result
 
     lowered = []
     active = []
@@ -331,9 +341,15 @@ def test_each_distinct_macro_gate_is_lowered_once(
         macro = Circuit(width + 1, plan, got.roles)
         want = [g.lines for g in macro.gates if g.kind is macro_kind]
     else:
-        (gates,) = macros
+        ((distinct, order, (table, played)),) = macros
+        gates = tuple(distinct[i] for i in order)
         macro = Circuit(got.width, gates, got.roles)
+        assert distinct == macro.distinct_gates and order == macro.order
         assert len(macro.gates) > len(macro.distinct_gates)
         want = [g.lines for g in macro.distinct_gates if g.kind is macro_kind]
+        assert table == got.distinct_gates and played == got.order
     assert want and lowered == want
-    assert expand_macros(macro, alphabet) == got
+    expanded = expand_macros(macro, alphabet)
+    assert expanded == got
+    assert expanded.distinct_gates == got.distinct_gates
+    assert expanded.order == got.order

@@ -176,7 +176,9 @@ def test_synth_ckswap_exact_with_frozen_counts(k: int, lines: int, gate_count: i
 def test_ckswap_lowering_is_the_canonical_one_relabelled(k: int, value: int):
     # Two scattered, non-ascending line choices per (k, value): each must
     # equal the lowering on canonical lines 1..k+3 (controls, targets,
-    # ancilla) with every line renamed, gate for gate.
+    # ancilla) with every line renamed, gate for gate. The lowering is a
+    # block: its distinct gates in order of first use, each played, and the
+    # order in which they play.
     canonical = (tuple(range(1, k + 1)), (k + 1, k + 2), k + 3, value)
     rng = random.Random(100 * k + value)
     for _ in range(2):
@@ -188,14 +190,18 @@ def test_ckswap_lowering_is_the_canonical_one_relabelled(k: int, value: int):
             with pytest.raises(RangeError):
                 ckswap_fred_with_ancilla(controls, targets, ancilla, value)
             continue
-        renamed = tuple(
-            fred(*(lines[l - 1] for l in g.lines))
-            for g in ckswap_fred_with_ancilla(*canonical)
+        distinct, order = ckswap_fred_with_ancilla(*canonical)
+        assert len(set(distinct)) == len(distinct)
+        assert list(dict.fromkeys(order)) == list(range(len(distinct)))
+        renamed = [fred(*(lines[l - 1] for l in g.lines)) for g in distinct]
+        assert ckswap_fred_with_ancilla(controls, targets, ancilla, value) == (
+            renamed, order
         )
-        assert ckswap_fred_with_ancilla(controls, targets, ancilla, value) == renamed
     if k == 1:
         # A bare FRED reads no ancilla line.
-        assert ckswap_fred_with_ancilla((9,), (4, 2), None, value) == (fred(9, 4, 2),)
+        assert ckswap_fred_with_ancilla((9,), (4, 2), None, value) == (
+            [fred(9, 4, 2)], (0,)
+        )
 
 
 ONE_ANCILLA_SIZES = {0: 1, 1: 1, 2: 5, 3: 15, 4: 17, 5: 57, 6: 119, 7: 219, 8: 401}
@@ -209,7 +215,8 @@ def test_ckswap_against_a_one_ancilla_is_exact(k: int):
     width = k + 5
     lines = random.Random(300 + k).sample(range(1, width + 1), k + 3)
     controls, targets, ancilla = tuple(lines[:k]), tuple(lines[k:k + 2]), lines[-1]
-    gates = ckswap_fred_with_ancilla(controls, targets, ancilla, 1)
+    distinct, order = ckswap_fred_with_ancilla(controls, targets, ancilla, 1)
+    gates = [distinct[i] for i in order]
     assert len(gates) == ONE_ANCILLA_SIZES[k]
     if k >= 4:
         assert len(gates) == ONE_ANCILLA_SIZES[k - 2] + merged_size(k - 2) + 2

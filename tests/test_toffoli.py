@@ -346,10 +346,22 @@ def test_transposition_gates_cover_both_orders_and_every_pair():
 
 
 @pytest.mark.parametrize("width", [3, 4, 5, 6])
-def test_general_macro_is_one_wide_cknot_per_transposition(width: int):
+def test_general_macro_is_one_wide_cknot_per_transposition(width: int, monkeypatch):
+    # The macro list is the one synth_general hands lower_cknots, as
+    # distinct macros plus an order.
+    handed = []
+    real = toffoli.lower_cknots
+
+    def spy(distinct, order, helpers):
+        handed.append(tuple(distinct[i] for i in order))
+        return real(distinct, order, helpers)
+
+    monkeypatch.setattr(toffoli, "lower_cknots", spy)
     p = sample_permutation(width, "any", seed=width)
     pairs = p.to_transpositions()
     gates = tuple(general_blocks(width, pairs)[0])
+    netlist = synth_general(p)
+    assert handed == [gates]
     assert all(g.kind is GateKind.CKNOT for g in gates)
     wide = [g for g in gates if g.k == width - 1]
     assert len(wide) == len(pairs)
@@ -360,19 +372,22 @@ def test_general_macro_is_one_wide_cknot_per_transposition(width: int):
     assert all(g.k == 1 for g in gates if g.k != width - 1)
     roles = (LineRole.DATA,) * width + (LineRole.BORROWED,)
     macro = Circuit(width + 1, gates, roles=roles)
-    assert expand_macros(macro, "VTOF") == synth_general(p)
+    assert expand_macros(macro, "VTOF") == netlist
 
 
 @pytest.mark.parametrize("width", [3, 4, 5, 6])
 def test_vtof_macro_lists_cancel_where_blocks_meet(width: int, monkeypatch):
-    # Both routes hand their macro list to lower_cknots; catch it there,
-    # at the binding each route calls.
+    # Both routes hand their macro list to lower_cknots, as its distinct
+    # macros in first-seen order plus an order; catch it there, at the
+    # binding each route calls, and play it back.
     macros = []
     real = toffoli.lower_cknots
 
-    def spy(gates, helpers):
-        macros.append(tuple(gates))
-        return real(gates, helpers)
+    def spy(distinct, order, helpers):
+        assert len(set(distinct)) == len(distinct)
+        assert list(dict.fromkeys(order)) == list(range(len(distinct)))
+        macros.append(tuple(distinct[i] for i in order))
+        return real(distinct, order, helpers)
 
     monkeypatch.setattr(toffoli, "lower_cknots", spy)
     monkeypatch.setattr(even, "lower_cknots", spy)

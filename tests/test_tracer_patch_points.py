@@ -74,8 +74,17 @@ def test_tracer_installs_and_restores(monkeypatch):
             assert vars(owner).get(name) is value, (owner, name)
     assert tracer.counts["toffoli.cknot_calls"] > 0
     assert tracer.counts["fredkin.macro_gates"] > 0
-    # The untraced runs above cached the C^kSWAP shapes; expansion must
-    # still call the traced lowering once per distinct CKSWAP.
-    assert tracer.counts["fredkin.lower_calls"] > 0
+    # The untraced runs above cached the C^kSWAP shapes; the conservative
+    # route must still call the traced lowering once per centre of its plan.
+    centres = sum(
+        g.kind is revsynth.circuit.GateKind.CKSWAP
+        for _, stage in revsynth.fredkin.conservative_stage_plan(targets[2])
+        for g in stage
+    )
+    assert tracer.counts["fredkin.lower_calls"] == centres > 0
     assert tracer.counts["expand.macro_gates"] > 0
+    # Every Circuit is built through the traced __post_init__, those from a
+    # gate table too: one netlist per route, the macro circuit and its
+    # expansion.
+    assert sum(span[0] == "circuit.build" for span in tracer.spans) == 5
     assert tracer.counts["netlist.bytes"] == sum(map(len, untraced))

@@ -19,7 +19,8 @@ k=3..8: the size grows about as k^2, where peeling one control at a time
 grew 4x per control. Against a 1 ancilla the last two controls fold into
 the pair: 15, 17, 57, 119, 219, 401 gates at k=3..8,
 T1(k) = T1(k-2) + S(k-2) + 2 from k=4. ``ckswap_fred_with_ancilla`` builds
-each (k, ancilla value) once on canonical lines and relabels it per call.
+each (k, ancilla value) once on canonical lines and relabels it once per
+choice of lines, kept in a bounded cache.
 
 The stage plan is in macro gates, and ``synth_conservative`` lowers each
 C^kSWAP centre as it assembles the netlist, against the ancilla on line
@@ -152,7 +153,7 @@ def ckswap_fred_with_ancilla(
     targets: tuple[int, int],
     ancilla_line: int | None,
     ancilla_value: int,
-) -> tuple[list[GateInstance], tuple[int, ...]]:
+) -> tuple[tuple[GateInstance, ...], tuple[int, ...]]:
     """Lower a multi-controlled swap to FRED gates against one ancilla
     line whose starting value is known.
 
@@ -176,16 +177,29 @@ def ckswap_fred_with_ancilla(
     the extra fire gives 3 + 1 + 1).
 
     The lowering treats its lines as labels only, so it is built once per
-    (k, ancilla value) on canonical lines and each call renames the lines
-    of that block's few distinct gates, as interned FREDs. The block is
-    returned in that form: its distinct gates in order of first use, and
-    the index among them of each gate it plays, so the gate list is
-    ``circuit.play(distinct, order)``. k=1 is a bare FRED that never reads
-    the ancilla, so ``ancilla_line`` may be ``None`` there.
+    (k, ancilla value) on canonical lines and renamed onto the lines of a
+    call: the few distinct gates of that block, as interned FREDs. The
+    block is returned in that form: its distinct gates in order of first
+    use, and the index among them of each gate it plays, so the gate list
+    is ``circuit.play(distinct, order)``. Both are tuples, and the renamed
+    block is kept per line choice (``_renamed_block``), so a repeated
+    C^kSWAP costs one lookup. k=1 is a bare FRED that never reads the
+    ancilla, so ``ancilla_line`` may be ``None`` there.
     """
-    triples, order = _ckswap_shape(len(controls), ancilla_value)
-    lines = (*controls, *targets, ancilla_line)
-    distinct = [_interned_fred(lines[c], lines[a], lines[b]) for c, a, b in triples]
+    return _renamed_block((*controls, *targets, ancilla_line), ancilla_value)
+
+
+# A weight-class plan at n=8 draws its centres from under 1 800 (controls,
+# targets) choices, times two ancilla values; a block is a few hundred
+# bytes, its order shared with ``_ckswap_shape``.
+@functools.lru_cache(maxsize=4096)
+def _renamed_block(
+    lines: tuple[int | None, ...], ancilla_value: int
+) -> tuple[tuple[GateInstance, ...], tuple[int, ...]]:
+    """``ckswap_fred_with_ancilla`` on ``lines`` (controls, targets,
+    ancilla): the canonical block of its shape with each line renamed."""
+    triples, order = _ckswap_shape(len(lines) - 3, ancilla_value)
+    distinct = tuple(_interned_fred(lines[c], lines[a], lines[b]) for c, a, b in triples)
     return distinct, order
 
 

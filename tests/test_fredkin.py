@@ -193,15 +193,30 @@ def test_ckswap_lowering_is_the_canonical_one_relabelled(k: int, value: int):
         distinct, order = ckswap_fred_with_ancilla(*canonical)
         assert len(set(distinct)) == len(distinct)
         assert list(dict.fromkeys(order)) == list(range(len(distinct)))
-        renamed = [fred(*(lines[l - 1] for l in g.lines)) for g in distinct]
+        renamed = tuple(fred(*(lines[l - 1] for l in g.lines)) for g in distinct)
         assert ckswap_fred_with_ancilla(controls, targets, ancilla, value) == (
             renamed, order
         )
     if k == 1:
         # A bare FRED reads no ancilla line.
         assert ckswap_fred_with_ancilla((9,), (4, 2), None, value) == (
-            [fred(9, 4, 2)], (0,)
+            (fred(9, 4, 2),), (0,)
         )
+
+
+def test_ckswap_block_is_kept_per_line_choice():
+    # A repeated line choice gets the very block of its first call, whether
+    # its lines come as tuples or lists; another choice gets its own block.
+    first = ckswap_fred_with_ancilla((5, 1, 7), (2, 6), 4, 1)
+    assert ckswap_fred_with_ancilla((5, 1, 7), (2, 6), 4, 1) is first
+    assert ckswap_fred_with_ancilla([5, 1, 7], [2, 6], 4, 1) is first
+    other = ckswap_fred_with_ancilla((5, 1, 7), (2, 6), 4, 0)
+    assert other is not first and other != first
+    assert all(type(part) is tuple for part in first + other)
+    # A call that raises raises again: no block stands in for it.
+    for _ in range(2):
+        with pytest.raises(RangeError):
+            ckswap_fred_with_ancilla((), (2, 6), 4, 0)
 
 
 ONE_ANCILLA_SIZES = {0: 1, 1: 1, 2: 5, 3: 15, 4: 17, 5: 57, 6: 119, 7: 219, 8: 401}

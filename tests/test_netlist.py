@@ -202,6 +202,13 @@ def test_zero_control_macros_round_trip():
         # A repeated header row before a bad distinct row is the earlier error.
         (_HEAD3 + "role 2 data\nVTOF 1 2 x\n", "netlist line 5: duplicate role for line 2"),
         (_HEAD3 + "VTOF 1 2 3\nlines 3\nVTOF 1 2 3\n", "netlist line 6: duplicate 'lines'"),
+        # A row that fails to read is named before an earlier gate that
+        # only Circuit refuses.
+        (
+            "lines 4\n" + "".join(f"role {i} data\n" for i in range(1, 5))
+            + "VTOF 1 2 3\nVTOF 1 1 2\nVTOF 2 3 4\nbogus 1\n",
+            "^netlist line 9: unknown statement 'bogus'$",
+        ),
     ],
 )
 def test_malformed_statements(bad: str, fragment: str):
@@ -545,6 +552,25 @@ def test_row_table_stays_within_its_bound():
     # Every row of a primitive netlist is known; at n = 8 the general
     # route alone uses rows on 9 lines.
     assert len(netlist._PRIMITIVE_ROWS) > 9 * 8 * 7
+    _assert_table_canonical()
+
+
+def test_one_read_makes_every_written_row_known():
+    """Each gate row that write_netlist writes is canonical, so one read
+    puts it in the table and every later read of it is a lookup."""
+    for synth, kind, widths in (
+        (synth_general, "any", range(3, 6)),
+        (synth_even, "even", range(3, 6)),
+        (synth_conservative, "conservative", range(4, 9)),
+    ):
+        for n in widths:
+            text = write_netlist(synth(sample_permutation(n, kind, seed=n)))
+            netlist._PRIMITIVE_ROWS.clear()
+            read_netlist(text)
+            rows = text.splitlines()
+            gate_rows = [r for r in rows if not r.startswith(("lines ", "role "))]
+            assert gate_rows, (kind, n)
+            assert set(gate_rows) <= set(netlist._PRIMITIVE_ROWS), (kind, n)
     _assert_table_canonical()
 
 

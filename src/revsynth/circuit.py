@@ -31,22 +31,23 @@ rewrites into a local once, so no per-gate attribute or enum-class lookup
 and no second read of a mask runs in the loop. Masks are read back with
 one binary-string row per line, transposed into per-state integers.
 
-Macro lowerings take their helper lines in ``helper_order``, one rule
-over line roles.
+A macro lowering takes its helpers from the lines, in ``helper_order``
+(one rule over line roles), that ``unused_lines`` finds its gate leaves
+free.
 
 The gate factories only construct. A ``Circuit`` keeps its distinct gates
 in first-seen order (``distinct_gates``) and the index of each gate among
 them (``order``), validates each distinct gate once and records whether
 all are primitive, so ``primitive_gate_count`` and ``is_primitive`` are
-O(1) for the primitive netlists synthesis emits. Every synthesis route and
-``expand_macros`` already holds its lowerings as distinct gates plus an
-order, so it builds its circuit with ``Circuit.from_table``, which hashes
-no gate: the gate list is ``play(table, order)``, one C-level pass. The
-producers number gates into the table with a ``GateNumbering``, only the
-few distinct gates of each lowered block, not every gate they emit;
-``lower_table`` does that for a lowering of each distinct macro. A
-circuit built from a gate list hashes each gate once to find its distinct
-gates, and once more for ``order`` the first time that is read.
+O(1) for the primitive netlists synthesis emits. A producer that holds
+its gates as distinct gates plus an order builds its circuit with
+``Circuit.from_table``, which hashes no gate: the gate list is
+``play(table, order)``, one C-level pass. Producers number gates into the
+table with a ``GateNumbering``, only the few distinct gates of each
+lowered block, not every gate they emit; ``lower_table`` does that for a
+lowering of each distinct macro. A circuit built from a gate list hashes
+each gate once to find its distinct gates, and once more for ``order``
+the first time that is read.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ def helper_order(roles: Sequence[LineRole]) -> list[int]:
     return sorted(
         range(1, len(roles) + 1), key=lambda l: (_HELPER_RANK[roles[l - 1]], -l)
     )
+
+
+def unused_lines(order: Iterable[int], lines: Sequence[int]) -> tuple[int, ...]:
+    """The lines of ``order`` that a gate on ``lines`` leaves free, in
+    order; a negated control -l takes line l."""
+    return tuple(l for l in order if l not in lines and -l not in lines)
 
 
 class GateInstance(NamedTuple):

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import Any
 
 from .analysis import (
     embedded_gate_permutation,
@@ -39,39 +41,28 @@ _BACKENDS = {
 
 def render_report(report: SynthesisReport, as_json: bool) -> str:
     """One synthesis/verification report, text or JSON, same fields in
-    the same order."""
-    if as_json:
-        payload: dict[str, object] = {
-            "backend": report.backend,
-            "width": report.width,
-            "lines": report.lines,
-            "roles": report.roles_summary,
-            "primitive_gates": report.primitive_gate_count,
-            "verdict": report.verdict,
-        }
-        if report.counterexample is not None:
-            payload["counterexample"] = {
-                "input": report.counterexample.input,
-                "expected": report.counterexample.expected,
-                "actual": report.counterexample.actual,
-            }
-        return json.dumps(payload, indent=2)
-    lines = []
-    if report.backend is not None:
-        lines.append(f"backend: {report.backend}")
-    lines.append(f"width: {report.width}")
-    lines.append(f"lines: {report.lines}")
-    roles = " ".join(
-        f"{name}={count}" for name, count in report.roles_summary.items() if count
-    )
-    lines.append(f"roles: {roles}")
-    lines.append(f"primitive_gates: {report.primitive_gate_count}")
-    lines.append(f"verdict: {report.verdict}")
+    the same order. Text leaves out an unnamed backend and roles with no
+    line."""
+    record: dict[str, Any] = {
+        "backend": report.backend,
+        "width": report.width,
+        "lines": report.lines,
+        "roles": report.roles_summary,
+        "primitive_gates": report.primitive_gate_count,
+        "verdict": report.verdict,
+    }
     if report.counterexample is not None:
-        lines.append(f"counterexample_input: {report.counterexample.input}")
-        lines.append(f"counterexample_expected: {report.counterexample.expected}")
-        lines.append(f"counterexample_actual: {report.counterexample.actual}")
-    return "\n".join(lines)
+        record["counterexample"] = asdict(report.counterexample)
+    if as_json:
+        return json.dumps(record, indent=2)
+    if record["backend"] is None:
+        del record["backend"]
+    roles = record["roles"].items()
+    record["roles"] = " ".join(f"{name}={count}" for name, count in roles if count)
+    counterexample = record.pop("counterexample", {})
+    rows = [f"{field}: {value}" for field, value in record.items()]
+    rows += (f"counterexample_{field}: {v}" for field, v in counterexample.items())
+    return "\n".join(rows)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

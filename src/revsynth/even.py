@@ -1,25 +1,14 @@
 """Even-permutation synthesis on exactly n lines, no extra inputs.
 
 An even permutation is a product of pairs of disjoint transpositions
-(``permutation.disjoint_pairs``). Each pair ``(a b)(c d)`` is one
-C^(n-2)NOT conjugated by a short gate list ``sigma`` (Shende, Prasad,
-Markov and Hayes, *Synthesis of reversible logic circuits*, IEEE TCAD
-2003): the C^(n-2)NOT on controls 1..n-2 and target n swaps T-3 with T-2
-and T-1 with T (T = 2**n - 1), and ``toffoli.conjugation_gates`` with
-pivot lines n, n-1, n-2 sends a, b onto T-1, T and c, d onto T-3, T-2,
-up to the NOT layer it returns as ``flips``. Those NOTs are not emitted:
-each one on a control negates that control of the pair's C^(n-2)NOT
-(``toffoli.negated_centre``), and the others cancel. When a^b^c^d is
-nonzero the CNOTs of sigma are followed by a VTOF form of 3 to 6 gates on
-lines n-2..n and the centre by its exact inverse form, 8 or 10 VTOF in
-all (``toffoli.TWISTED_TAILS``); they put {a, b} and {c, d} onto those
-two pairs, either way round. Line n-1 is the one line that C^(n-2)NOT
-leaves free, so its lowering borrows it and the width never grows.
-``toffoli.append_conjugation`` leaves out the CNOTs at the end of an
-untwisted ``sigma`` that commute with the C^(n-2)NOT and cancels equal
-CNOTs where pairs meet; ``toffoli.lower_cknots`` then lowers the macro
-list, as distinct macros plus an order, straight into the netlist's table
-of distinct gates and its order, with no macro circuit in between.
+(``permutation.disjoint_pairs``). Each pair ``(a b)(c d)`` is one block
+of ``toffoli.conjugated_netlist``: one C^(n-2)NOT on controls 1..n-2 and
+target n, which swaps T-3 with T-2 and T-1 with T (T = 2**n - 1),
+conjugated by a gate list sigma with pivot lines n, n-1, n-2 that sends
+a, b onto T-1, T and c, d onto T-3, T-2 (either way round, through a
+twisted tail, when a^b^c^d is nonzero). Line n-1 is the one line that
+C^(n-2)NOT leaves free, so its lowering borrows it and the width never
+grows.
 
 The paper's own generator argument survives as line-exact fragments that
 ``synth_even`` does not call: ``synth_pair`` realizes each adjacent pair
@@ -32,16 +21,12 @@ from __future__ import annotations
 
 import enum
 
-from .circuit import (
-    Circuit, GateInstance, LineRole, cknot, gate_table, helper_order,
-)
+from .circuit import Circuit, LineRole, cknot
 from .errors import OddPermutationError, WidthOutOfRangeError
 # Unused here, but perfbench/tracer.py patches this binding and requires it.
 from .generators import decompose_generators  # noqa: F401
 from .permutation import MAX_WIDTH, Permutation, disjoint_pairs
-from .toffoli import (
-    append_conjugation, conjugation_gates, increment, lower_cknots, negated_centre,
-)
+from .toffoli import conjugated_netlist, increment
 
 EVEN_MIN_WIDTH = 3
 
@@ -101,15 +86,8 @@ def synth_pair(pair: TokenPair, n: int) -> Circuit:
 
 def synth_even(p: Permutation) -> Circuit:
     """Compile an even permutation to a VTOF netlist on exactly its own
-    width: no ancilla, no borrowed lines.
-
-    Each disjoint pair becomes ``sigma``, a twisted pair's VTOF form, the
-    C^(n-2)NOT with the controls that the NOT layer flips negated, the
-    inverse form and ``sigma`` reversed (``append_conjugation``), less the
-    CNOTs at the end of an untwisted ``sigma`` that commute with the
-    C^(n-2)NOT and the equal CNOTs that cancel where pairs meet.
-    ``lower_cknots`` then lowers the CNOTs and the C^(n-2)NOT, borrowing
-    free data lines; the VTOF gates pass through.
+    width: no ancilla, no borrowed lines. Each disjoint pair is one
+    conjugated C^(n-2)NOT; its lowering borrows free data lines.
     """
     n = p.width
     if not EVEN_MIN_WIDTH <= n <= MAX_WIDTH:
@@ -118,13 +96,6 @@ def synth_even(p: Permutation) -> Circuit:
         )
     if not p.is_even():
         raise OddPermutationError("permutation is odd")
-    controls = range(1, n - 1)
-    gates: list[GateInstance] = []
-    for (a, b), (c, d) in disjoint_pairs(p.mapping):
-        sigma, tail, flips = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
-        append_conjugation(
-            gates, sigma, negated_centre(controls, n, flips, n), tail
-        )
-    roles = (LineRole.DATA,) * n
-    table, order = lower_cknots(*gate_table(gates), helper_order(roles))
-    return Circuit.from_table(n, table, order, roles)
+    pivots, controls = (n, n - 1, n - 2), range(1, n - 1)
+    blocks = ((ab + cd, pivots, controls) for ab, cd in disjoint_pairs(p.mapping))
+    return conjugated_netlist(blocks, n, (LineRole.DATA,) * n)

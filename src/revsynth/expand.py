@@ -2,14 +2,9 @@
 
 ``expand_macros`` is the public lowering of macro netlists, such as the
 CKNOT and CKSWAP rows that ``read_netlist`` accepts. No synthesis route
-calls it. ``synth_general`` and ``synth_even`` pass their macro lists, as
-distinct macros plus an order, to ``toffoli.lower_cknots``, the one VTOF
-lowering, which ``expand_macros(..., "VTOF")`` calls too with the macro
-circuit's ``distinct_gates`` and ``order``. ``synth_conservative`` lowers
-its C^kSWAP centres while assembling the netlist, with the same
-``fredkin.ckswap_fred_with_ancilla`` calls that the FRED alphabet makes
-for its plan, so ``expand_macros(..., "FRED")`` is the reference for that
-route.
+calls it. The VTOF alphabet is ``toffoli.lower_cknots``, and the FRED
+alphabet lowers each CKSWAP with ``fredkin.ckswap_fred_with_ancilla``, so
+each route's netlist is this expansion of its macro list.
 
 The VTOF alphabet lowers CKNOT macros, negated controls included, through
 the recursive helper-line construction; the FRED alphabet lowers CKSWAP
@@ -22,19 +17,17 @@ last two controls into a pair with the ancilla and adds a C^(k-2)SWAP tail.
 Every CKSWAP, k=0 and k=1 included, goes through that one lowering, which
 is built once per (k, ancilla value) on canonical lines and relabelled
 onto each gate's lines.
-Helper lines are chosen deterministically, in ``circuit.helper_order``:
-among lines a gate does not touch, prefer data, then borrowed, then
-ancilla, and within a role class take the highest index first.
-``free_lines`` applies that rule to one gate; ``expand_macros`` sorts the
-lines into that order once per call and only filters out each gate's own
-lines. It lowers each entry of the circuit's ``distinct_gates`` once, with
-``toffoli.synth_cknot`` or ``fredkin.ckswap_fred_with_ancilla`` looked up
-in their modules at call time, so a wrapper installed there runs; a
-CKSWAP's block comes back as distinct gates plus an order and is played
-out with one map. ``circuit.lower_table`` numbers the gates of each block
-once into a table of distinct primitive gates and plays the blocks in the
-circuit's ``order``, and ``Circuit.from_table`` takes both, so the
-expansion hashes each block's gates once, not every gate it emits.
+Helper lines are chosen deterministically: among lines a gate does not
+touch (``circuit.unused_lines``), prefer data, then borrowed, then
+ancilla, and within a role class take the highest index first
+(``circuit.helper_order``, computed once per call). ``free_lines`` applies
+that rule to one gate. Each entry of the circuit's ``distinct_gates`` is
+lowered once, with ``toffoli.synth_cknot`` or
+``fredkin.ckswap_fred_with_ancilla`` looked up in their modules at call
+time, so a wrapper installed there runs; ``circuit.lower_table`` numbers
+the gates of each block once into a table of distinct primitive gates and
+plays the blocks in the circuit's ``order``, and ``Circuit.from_table``
+takes both.
 """
 
 from __future__ import annotations
@@ -42,22 +35,17 @@ from __future__ import annotations
 from . import fredkin
 from .circuit import (
     CKSWAP, FRED, Circuit, GateInstance, LineRole, helper_order, lower_table,
-    play,
+    play, unused_lines,
 )
 from .errors import InsufficientLinesError, UnexpandableMacroError
 from .toffoli import lower_cknots
-
-
-def _unused(order: list[int], lines: tuple[int, ...]) -> list[int]:
-    """The lines of ``order`` that are not in ``lines``, in order."""
-    return [l for l in order if l not in lines]
 
 
 def free_lines(circuit: Circuit, gate: GateInstance) -> list[int]:
     """Lines not touched by ``gate``, in helper-preference order (data
     before borrowed before ancilla; highest index first within a role).
     A negated CKNOT control touches its line."""
-    return _unused(helper_order(circuit.roles), tuple(map(abs, gate.lines)))
+    return list(unused_lines(helper_order(circuit.roles), gate.lines))
 
 
 def _fred_expander(circuit: Circuit):
@@ -76,8 +64,8 @@ def _fred_expander(circuit: Circuit):
                 f"cannot expand {kind.value} over the FRED alphabet"
             )
         k = gate.k
-        free0 = _unused(anc0, lines)
-        free1 = _unused(anc1, lines)
+        free0 = unused_lines(anc0, lines)
+        free1 = unused_lines(anc1, lines)
         # An unconditional swap only moves unbalanced states, which no FRED
         # netlist can do on its own; it needs a known-1 line as control.
         if free0 and k != 0:

@@ -25,9 +25,7 @@ choice of lines, kept in a bounded cache.
 The stage plan is in macro gates, and ``synth_conservative`` lowers each
 C^kSWAP centre as it assembles the netlist, against the ancilla on line
 n+1, so it builds no macro circuit and never calls ``expand_macros``; that
-stays the public lowering of macro netlists. No route calls it: the VTOF
-routes lower their CKNOT lists with ``toffoli.lower_cknots``, which
-``expand_macros`` also calls for VTOF.
+stays the public lowering of macro netlists.
 ``ckswap_fred_with_ancilla`` returns its block as its distinct gates plus
 the order they play in. ``synth_conservative`` numbers each block's
 distinct gates, and each walk FRED, into one table of the netlist's

@@ -8,28 +8,30 @@ on all n lines, used by the token-pair fragments in ``even``), and
 ``synth_add_constant``, which adds any constant.
 
 Both VTOF routes compile by conjugation (Shende, Prasad, Markov and
-Hayes, IEEE TCAD 2003). ``conjugation_gates`` builds a CNOT list sigma,
-and the NOT layer ``flips`` that would end it, which carry the two states
-of a transposition, or the four of a pair of disjoint transpositions,
-onto states that one wide multi-controlled NOT swaps. The NOT layer is
-folded into that gate instead of being emitted: ``negated_centre`` negates
-each control it flips. A quadruple whose XOR is nonzero also gets a short
-VTOF form on lines n-2..n, which puts its four states where that gate
-swaps them, and the form's exact inverse (``TWISTED_TAILS``).
+Hayes, IEEE TCAD 2003), through one pipeline, ``conjugated_netlist``. Each
+block names 2 or 4 states, the pivot lines and the centre's controls.
+``conjugation_gates`` builds a CNOT list sigma, and the NOT layer
+``flips`` that would end it, which carry the two states of a
+transposition, or the four of a pair of disjoint transpositions, onto
+states that one wide multi-controlled NOT swaps. The NOT layer is folded
+into that gate instead of being emitted: ``negated_centre`` negates each
+control it flips. A quadruple whose XOR is nonzero also gets a short VTOF
+form on lines n-2..n, which puts its four states where that gate swaps
+them, and the form's exact inverse (``TWISTED_TAILS``).
 ``append_conjugation`` emits sigma, the form, the centre, the inverse form
 and sigma reversed, and cancels equal CKNOTs where blocks meet.
-``synth_general`` uses one full-width CKNOT per transposition of the
-target; ``even.synth_even`` uses one C^(n-2)NOT per pair. Each route
-splits its macro list into distinct macros plus an order
-(``circuit.gate_table``) and passes both to ``lower_cknots``, which
-lowers each distinct CKNOT once with ``synth_cknot`` on helper lines taken
-in ``circuit.helper_order`` and, through ``circuit.lower_table``, numbers
-the gates of its block once into a table of distinct netlist gates. The
-route hands that table and the netlist's order to ``Circuit.from_table``,
-the one ``Circuit`` it returns: no macro circuit is built, and the lowered
-gates are hashed once per distinct block, not once per emitted gate.
-``expand.expand_macros`` lowers VTOF macro netlists with the same
-function, from the macro circuit's own ``distinct_gates`` and ``order``.
+``synth_general`` gives one block per transposition of the target, with a
+full-width CKNOT; ``even.synth_even`` one per pair, with a C^(n-2)NOT.
+The pipeline splits the macro list into distinct macros plus an order
+(``circuit.gate_table``) and passes both to ``lower_cknots``, which lowers
+each distinct CKNOT once with ``synth_cknot`` on the helper lines of
+``circuit.helper_order`` that it leaves free, and, through
+``circuit.lower_table``, numbers the gates of its block once into a table
+of distinct netlist gates. That table and the netlist's order make the
+one ``Circuit`` returned (``Circuit.from_table``): no macro circuit is
+built, and the lowered gates are hashed once per distinct block, not once
+per emitted gate. ``expand.expand_macros`` lowers VTOF macro netlists with
+``lower_cknots`` too.
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -39,11 +41,11 @@ single extra line serve the whole netlist.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .circuit import (
     CKNOT, VTOF, Circuit, GateInstance, LineRole, cknot, cnot, gate_table,
-    helper_order, lower_table, vtof,
+    helper_order, lower_table, unused_lines, vtof,
 )
 from .errors import (
     InsufficientLinesError, UnexpandableMacroError, WidthOutOfRangeError,
@@ -172,8 +174,7 @@ def lower_cknots(
     ``synth_cknot`` lowering and VTOF gates passed through: a table of
     distinct gates plus an order, the form ``Circuit.from_table`` takes.
 
-    A CKNOT's free lines are the lines of ``helpers`` that it does not
-    touch (a negated control -l touches line l), kept in order. Each
+    A CKNOT's free lines are the ``unused_lines`` of ``helpers``. Each
     distinct macro is lowered once. A CKSWAP or FRED raises
     ``UnexpandableMacroError``.
     """
@@ -183,8 +184,7 @@ def lower_cknots(
         if kind is VTOF:
             return (gate,)
         if kind is CKNOT:
-            free = tuple(l for l in helpers if l not in lines and -l not in lines)
-            return synth_cknot(len(lines) - 1, lines + free)
+            return synth_cknot(len(lines) - 1, lines + unused_lines(helpers, lines))
         raise UnexpandableMacroError(
             f"cannot expand {kind.value} over the VTOF alphabet"
         )
@@ -377,20 +377,40 @@ def append_conjugation(
     gates += block[i:]
 
 
+def conjugated_netlist(
+    blocks: Iterable[tuple[Sequence[int], Sequence[int], Sequence[int]]],
+    n: int,
+    roles: Sequence[LineRole],
+) -> Circuit:
+    """The netlist on the lines of ``roles`` that plays, for each block
+    ``(states, pivots, controls)`` in turn, the conjugation that swaps
+    ``states`` in pairs: sigma and tail from ``conjugation_gates`` on data
+    lines ``1..n``, the CKNOT on ``controls`` and target ``pivots[0]``
+    negated where ``flips`` sets them, then the inverses
+    (``append_conjugation``). ``lower_cknots`` lowers the macro list on
+    helpers in ``helper_order(roles)``.
+    """
+    gates: list[GateInstance] = []
+    for states, pivots, controls in blocks:
+        sigma, tail, flips = conjugation_gates(states, pivots, n)
+        centre = negated_centre(controls, pivots[0], flips, n)
+        append_conjugation(gates, sigma, centre, tail)
+    table, order = lower_cknots(*gate_table(gates), helper_order(roles))
+    return Circuit.from_table(len(roles), table, order, roles)
+
+
 def synth_general(p: Permutation) -> Circuit:
     """Compile any permutation to a VTOF netlist on ``width + 1`` lines.
 
     The extra line is borrowed: it may hold either value and is always
-    restored. Each transposition (a b) of ``p``, in list order, becomes one
-    conjugation: with t the first line where a and b differ,
-    ``conjugation_gates`` sends them, up to its NOT layer, to T - e_t and
-    T, and one full-width CKNOT on target t, controlled by every other data
-    line and negated where that layer flips it, swaps them. So the only
-    wide gate per transposition is that CKNOT (transformation-based
-    synthesis in the style of Miller, Maslov and Dueck, DAC 2003).
-    ``lower_cknots`` then lowers the blocks in ``helper_order``: the
-    full-width CKNOTs borrow the extra line, the CNOTs borrow free data
-    lines.
+    restored. Each transposition (a b) of ``p``, in list order, is one
+    block of ``conjugated_netlist``: with t the first line where a and b
+    differ, sigma sends them, up to its NOT layer, to T - e_t and T, and
+    one full-width CKNOT on target t, controlled by every other data line,
+    swaps them. So the only wide gate per transposition is that CKNOT
+    (transformation-based synthesis in the style of Miller, Maslov and
+    Dueck, DAC 2003). It borrows the extra line when lowered; the CNOTs
+    borrow free data lines.
     """
     n = p.width
     if not GENERAL_MIN_WIDTH <= n <= GENERAL_MAX_WIDTH:
@@ -400,11 +420,12 @@ def synth_general(p: Permutation) -> Circuit:
         )
     lines = range(1, n + 1)
     controls = {t: [l for l in lines if l != t] for t in lines}
-    gates: list[GateInstance] = []
-    for a, b in p.to_transpositions():
-        t = n + 1 - (a ^ b).bit_length()
-        sigma, _, flips = conjugation_gates((a, b) if a < b else (b, a), (t,), n)
-        append_conjugation(gates, sigma, negated_centre(controls[t], t, flips, n))
-    roles = (LineRole.DATA,) * n + (LineRole.BORROWED,)
-    table, order = lower_cknots(*gate_table(gates), helper_order(roles))
-    return Circuit.from_table(n + 1, table, order, roles)
+    # a < b: every cycle starts at its smallest state.
+    blocks = (
+        ((a, b), (t,), controls[t])
+        for a, b in p.to_transpositions()
+        for t in [n + 1 - (a ^ b).bit_length()]
+    )
+    return conjugated_netlist(
+        blocks, n, (LineRole.DATA,) * n + (LineRole.BORROWED,)
+    )

@@ -22,7 +22,9 @@ from revsynth.errors import OddPermutationError, WidthOutOfRangeError
 from revsynth.even import TokenPair, synth_even, synth_fused, synth_pair
 from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation, disjoint_pairs, sample_permutation
-from revsynth.toffoli import append_conjugation, conjugation_gates, negated_centre
+from revsynth.toffoli import (
+    append_conjugation, conjugation_gates, negated_centre, synth_general,
+)
 from revsynth.verify import verify_realizes
 
 from conftest import compose_runs
@@ -280,8 +282,15 @@ def test_even_synthesis_frozen_medians(width: int, median: int, token_route: int
 
 
 def test_even_synthesis_identity_is_empty():
-    c = synth_even(Permutation.identity(3))
-    assert c.gates == ()
+    # No blocks on either VTOF route: the empty macro list is lowered and
+    # played into an empty netlist of the route's width and roles.
+    for n in range(3, 9):
+        identity = Permutation.identity(n)
+        for synth, width in ((synth_even, n), (synth_general, n + 1)):
+            c = synth(identity)
+            assert c.gates == () and c.width == width, (synth, n)
+            assert c.distinct_gates == () and c.order == ()
+            assert verify_realizes(c, identity).passed
 
 
 def test_even_synthesis_rejects_odd_permutations():

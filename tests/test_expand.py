@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from revsynth import even, fredkin, toffoli
+from revsynth import fredkin, toffoli
 from revsynth.circuit import (
     Circuit,
     GateInstance,
@@ -330,7 +330,6 @@ def test_each_distinct_macro_gate_is_lowered_once(
             active.pop()
 
     monkeypatch.setattr(toffoli, "lower_cknots", keep)
-    monkeypatch.setattr(even, "lower_cknots", keep)
     monkeypatch.setattr(owner, name, spy)
     got = synth(p)
     if alphabet == "FRED":

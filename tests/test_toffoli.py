@@ -10,7 +10,7 @@ from collections import deque
 
 import pytest
 
-from revsynth import even, toffoli
+from revsynth import toffoli
 from revsynth.circuit import (
     CKNOT,
     Circuit,
@@ -379,7 +379,7 @@ def test_general_macro_is_one_wide_cknot_per_transposition(width: int, monkeypat
 def test_vtof_macro_lists_cancel_where_blocks_meet(width: int, monkeypatch):
     # Both routes hand their macro list to lower_cknots, as its distinct
     # macros in first-seen order plus an order; catch it there, at the
-    # binding each route calls, and play it back.
+    # one binding the shared pipeline calls, and play it back.
     macros = []
     real = toffoli.lower_cknots
 
@@ -390,7 +390,6 @@ def test_vtof_macro_lists_cancel_where_blocks_meet(width: int, monkeypatch):
         return real(distinct, order, helpers)
 
     monkeypatch.setattr(toffoli, "lower_cknots", spy)
-    monkeypatch.setattr(even, "lower_cknots", spy)
     roles = (LineRole.DATA,) * width + (LineRole.BORROWED,)
     for seed in range(6):
         macros.clear()

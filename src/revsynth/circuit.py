@@ -312,19 +312,27 @@ class Circuit:
         ``0 .. len(table) - 1``: then ``table`` is the ``distinct_gates``
         that the gate-list constructor would find, and no gate is hashed.
         Each entry is validated once, as there, and
-        ``gates[i] is distinct_gates[order[i]]``.
+        ``gates[i] is distinct_gates[order[i]]``. An index outside that
+        range raises ``ValueError``; an entry the order never plays is not
+        looked for.
         """
         # Attributes are set in the order the gate-list constructor sets
         # them, so both kinds of circuit share one instance layout.
         circuit = cls.__new__(cls)
         setattr_ = object.__setattr__
         table = tuple(table)
+        order = tuple(order)
+        if order and (min(order) < 0 or max(order) >= len(table)):
+            raise ValueError(
+                f"gate order indices must lie in [0, {len(table) - 1}], "
+                f"got {min(order)}..{max(order)}"
+            )
         setattr_(circuit, "width", width)
         setattr_(circuit, "gates", play(table, order))
         setattr_(circuit, "roles", roles)
         setattr_(circuit, "distinct_gates", table)
         circuit.__post_init__()
-        setattr_(circuit, "order", tuple(order))
+        setattr_(circuit, "order", order)
         return circuit
 
     def __post_init__(self) -> None:

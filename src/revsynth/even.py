@@ -4,11 +4,14 @@ An even permutation is a product of pairs of disjoint transpositions
 (``permutation.disjoint_pairs``). Each pair ``(a b)(c d)`` is one block
 of ``toffoli.conjugated_netlist``: one C^(n-2)NOT on controls 1..n-2 and
 target n, which swaps T-3 with T-2 and T-1 with T (T = 2**n - 1),
-conjugated by a gate list sigma with pivot lines n, n-1, n-2 that sends
-a, b onto T-1, T and c, d onto T-3, T-2 (either way round, through a
-twisted tail, when a^b^c^d is nonzero). Line n-1 is the one line that
-C^(n-2)NOT leaves free, so its lowering borrows it and the width never
-grows.
+conjugated by a CNOT list sigma with pivot lines n, n-1, n-2 that sends
+the images of a, b under the pipeline's running linear frame onto T-1, T
+and those of c, d onto T-3, T-2 (either way round, through a twisted
+tail, when a^b^c^d is nonzero). The pivots and controls are the same for
+every pair. sigma is not reversed; the frame takes it on, and one CNOT
+network after the last pair undoes the frame. Line n-1 is the one line
+that C^(n-2)NOT leaves free, so its lowering borrows it, each CNOT
+borrows a data line it leaves free, and the width never grows.
 
 The paper's own generator argument survives as line-exact fragments that
 ``synth_even`` does not call: ``synth_pair`` realizes each adjacent pair
@@ -87,7 +90,8 @@ def synth_pair(pair: TokenPair, n: int) -> Circuit:
 def synth_even(p: Permutation) -> Circuit:
     """Compile an even permutation to a VTOF netlist on exactly its own
     width: no ancilla, no borrowed lines. Each disjoint pair is one
-    conjugated C^(n-2)NOT; its lowering borrows free data lines.
+    conjugated C^(n-2)NOT, on the same pivots and controls whatever the
+    pair's images; its lowering borrows free data lines.
     """
     n = p.width
     if not EVEN_MIN_WIDTH <= n <= MAX_WIDTH:
@@ -96,6 +100,6 @@ def synth_even(p: Permutation) -> Circuit:
         )
     if not p.is_even():
         raise OddPermutationError("permutation is odd")
-    pivots, controls = (n, n - 1, n - 2), range(1, n - 1)
-    blocks = ((ab + cd, pivots, controls) for ab, cd in disjoint_pairs(p.mapping))
-    return conjugated_netlist(blocks, n, (LineRole.DATA,) * n)
+    centre = (n, n - 1, n - 2), range(1, n - 1)
+    blocks = (ab + cd for ab, cd in disjoint_pairs(p.mapping))
+    return conjugated_netlist(blocks, n, (LineRole.DATA,) * n, lambda _: centre)

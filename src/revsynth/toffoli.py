@@ -9,29 +9,34 @@ on all n lines, used by the token-pair fragments in ``even``), and
 
 Both VTOF routes compile by conjugation (Shende, Prasad, Markov and
 Hayes, IEEE TCAD 2003), through one pipeline, ``conjugated_netlist``. Each
-block names 2 or 4 states, the pivot lines and the centre's controls.
-``conjugation_gates`` builds a CNOT list sigma, and the NOT layer
-``flips`` that would end it, which carry the two states of a
-transposition, or the four of a pair of disjoint transpositions, onto
+block names 2 or 4 states; a per-route rule names the pivot lines and the
+centre's controls. ``conjugation_gates`` builds a CNOT list sigma, and
+the NOT layer ``flips`` that would end it, which carry the two states of
+a transposition, or the four of a pair of disjoint transpositions, onto
 states that one wide multi-controlled NOT swaps. The NOT layer is folded
 into that gate instead of being emitted: ``negated_centre`` negates each
 control it flips. A quadruple whose XOR is nonzero also gets a short VTOF
 form on lines n-2..n, which puts its four states where that gate swaps
-them, and the form's exact inverse (``TWISTED_TAILS``).
-``append_conjugation`` emits sigma, the form, the centre, the inverse form
-and sigma reversed, and cancels equal CKNOTs where blocks meet.
-``synth_general`` gives one block per transposition of the target, with a
-full-width CKNOT; ``even.synth_even`` one per pair, with a C^(n-2)NOT.
-The pipeline splits the macro list into distinct macros plus an order
-(``circuit.gate_table``) and passes both to ``lower_cknots``, which lowers
-each distinct CKNOT once with ``synth_cknot`` on the helper lines of
-``circuit.helper_order`` that it leaves free, and, through
-``circuit.lower_table``, numbers the gates of its block once into a table
-of distinct netlist gates. That table and the netlist's order make the
-one ``Circuit`` returned (``Circuit.from_table``): no macro circuit is
-built, and the lowered gates are hashed once per distinct block, not once
-per emitted gate. ``expand.expand_macros`` lowers VTOF macro netlists with
-``lower_cknots`` too.
+them, and the form's exact inverse (``TWISTED_TAILS``). sigma is linear,
+so it is not reversed after its centre: the pipeline keeps a running
+frame, the linear map of every CNOT emitted so far, maps each block's
+states through it before ``conjugation_gates`` runs, and after the last
+block emits one CNOT network (``frame_inverse``, Gauss-Jordan) that
+undoes the frame. ``synth_general`` gives one block per transposition of
+the target, with a full-width CKNOT; ``even.synth_even`` one per pair,
+with a C^(n-2)NOT. The pipeline splits the macro list into distinct
+macros plus an order (``circuit.gate_table``) and passes both to
+``lower_cknots``, which lowers each distinct CKNOT once with
+``synth_cknot`` on the helper lines of ``circuit.helper_order`` that it
+leaves free, and, through ``circuit.lower_table``, numbers the gates of
+its block once into a table of distinct netlist gates. That table and the
+netlist's order make the one ``Circuit`` returned
+(``Circuit.from_table``): no macro circuit is built, and the lowered
+gates are hashed once per distinct block, not once per emitted gate.
+``expand.expand_macros`` lowers VTOF macro netlists with ``lower_cknots``
+too. Two tables serve the whole process, each built on first use: the
+CNOT macros of each width (``_cnot_table``), and each CKNOT lowering per
+line tuple (``_cknot_gates``, under the public ``synth_cknot``).
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -41,7 +46,7 @@ single extra line serve the whole netlist.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .circuit import (
     CKNOT, VTOF, Circuit, GateInstance, LineRole, cknot, cnot, gate_table,
@@ -133,16 +138,28 @@ def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
     ``T(k) = 2 T(k - 1) + 10`` gates, ``T(2) = 5``, for every polarity: it
     doubles per control. A negated control costs nothing from ``k = 2``;
     at ``k = 1`` it makes the CNOT 6 gates instead of 2.
+
+    The lowering is kept per line tuple (``_cknot_gates``), so a repeated
+    macro costs one lookup after its first call.
     """
+    return _cknot_gates(k, tuple(lines))
+
+
+# An entry holds one reference per gate plus its two join Toffolis (the
+# child's gates are the child's own entry): about 4.5 KB for the C^7NOT
+# centre of a general n=8 netlist, of which one target lowers about 130.
+@functools.lru_cache(maxsize=4096)
+def _cknot_gates(k: int, lines: tuple[int, ...]) -> tuple[GateInstance, ...]:
+    """``synth_cknot`` on a line tuple; the child recurses through here."""
     if k < 0:
         raise ValueError(f"control count must be nonnegative, got {k}")
     if len(lines) < k + 1:
         raise InsufficientLinesError(
             f"CKNOT with {k} controls needs at least {k + 1} lines, got {len(lines)}"
         )
-    controls = tuple(lines[:k])
+    controls = lines[:k]
     target = lines[k]
-    free = tuple(lines[k + 1:])
+    free = lines[k + 1:]
     if k == 0:
         if len(free) < 2:
             raise InsufficientLinesError("NOT needs two free helper lines")
@@ -159,7 +176,7 @@ def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
         )
     x = free[0]
     peeled = controls[-1]
-    child = synth_cknot(
+    child = _cknot_gates(
         k - 1, (*controls[:-1], x, abs(peeled), target, *free[1:])
     )
     join = synth_ccnot(peeled, x, target)
@@ -249,6 +266,15 @@ TWISTED_TAILS = (
     ("312 213 231", "132 231 132 312 213", 1),  # 111
 )
 
+
+@functools.cache
+def _cnot_table(n: int) -> tuple[tuple[GateInstance, ...], ...]:
+    """Entry [c][t] is the CNOT macro from state bit c to state bit t on
+    ``n`` data lines (line l is bit n - l), built on first use per width;
+    the diagonal entries are never played."""
+    return tuple(tuple(cnot(n - c, n - t) for t in range(n)) for c in range(n))
+
+
 Tail = tuple[tuple[GateInstance, ...], tuple[GateInstance, ...]]
 NO_TAIL: Tail = ((), ())
 
@@ -301,6 +327,7 @@ def conjugation_gates(
     {T-3, T-2}, one pair each, in either order.
     """
     gates: list[GateInstance] = []
+    cnots = _cnot_table(n)
     a = states[0]
     rows = [a ^ s for s in states[1:]]
     if len(rows) == 3 and not rows[0] ^ rows[1] ^ rows[2]:  # a^b^c^d == 0
@@ -309,7 +336,7 @@ def conjugation_gates(
     def cnot_bits(control: int, target: int) -> None:
         # Bit i of a state is line n - i.
         nonlocal a
-        gates.append(cnot(n - control, n - target))
+        gates.append(cnots[control][target])
         for r, v in enumerate(rows):
             rows[r] = v ^ (v >> control & 1) << target
         a ^= (a >> control & 1) << target
@@ -339,62 +366,83 @@ def negated_centre(
     return cknot([-l if flips >> (n - l) & 1 else l for l in controls], target)
 
 
-def append_conjugation(
-    gates: list[GateInstance],
-    sigma: list[GateInstance],
-    centre: GateInstance,
-    tail: Tail = NO_TAIL,
-) -> None:
-    """Append ``sigma``, the VTOF form of ``tail``, the CKNOT ``centre``,
-    the inverse form of ``tail`` and ``sigma`` reversed to ``gates``
-    (every CKNOT is self-inverse, so the reversal undoes sigma).
+def frame_inverse(frame: Sequence[int], n: int) -> list[GateInstance]:
+    """CNOT macros that undo the linear map ``frame`` on lines ``1..n``:
+    at most n**2 CNOTs, none for the identity.
 
-    With no tail, a trailing gate of ``sigma`` whose target is not a
-    control of the centre, and which does not read the centre's target,
-    commutes with the centre and would meet its own mirror, so it is left
-    out; a control counts whatever value it fires on. A VTOF is not its
-    own inverse (twice it is a CNOT), so the tail is never left out. At
-    the seam, each gate of the new block cancels an equal CKNOT on top of
-    ``gates`` until one does not; two equal VTOFs are both kept. No two
-    neighbours inside a block are equal (sigma's CNOTs differ in turn and
-    no ``TWISTED_TAILS`` form repeats a gate), so no two equal CKNOTs are
-    left next to each other anywhere in ``gates``.
+    ``frame[i]`` is a row mask: output bit i (line n - i) of the map is
+    the XOR of the input bits it holds. Gauss-Jordan elimination reduces
+    the map's columns to the identity, one column at a time from bit 0.
+    Adding column t to column c is the CNOT from line n - t to line n - c
+    played before the map, so the CNOTs, played after the map in reverse
+    order, undo it. Column elimination emitted fewer CNOTs than row
+    elimination on seeded targets of both routes at n = 4..7.
     """
-    forward, inverse = tail
-    *controls, target = map(abs, centre.lines)
-    while not forward and sigma and sigma[-1].lines[-1] not in controls and (
-        target not in map(abs, sigma[-1].lines[:-1])
-    ):
-        sigma.pop()
-    block = (*sigma, *forward, centre, *inverse, *reversed(sigma))
-    i = 0
-    while (
-        gates and i < len(block) and gates[-1] == block[i]
-        and block[i].kind is CKNOT
-    ):
-        gates.pop()
-        i += 1
-    gates += block[i:]
+    columns = []
+    for j in range(n):
+        column = 0
+        for row in reversed(frame):
+            column = column << 1 | row >> j & 1
+        columns.append(column)
+    cnots = _cnot_table(n)
+    gates: list[GateInstance] = []
+    for j in range(n):
+        bit = 1 << j
+        if not columns[j] & bit:
+            c = next(c for c in range(j + 1, n) if columns[c] & bit)
+            columns[j] ^= columns[c]
+            gates.append(cnots[j][c])
+        pivot = columns[j]
+        for c, column in enumerate(columns):
+            if column & bit and c != j:
+                columns[c] = column ^ pivot
+                gates.append(cnots[c][j])
+    gates.reverse()
+    return gates
 
 
 def conjugated_netlist(
-    blocks: Iterable[tuple[Sequence[int], Sequence[int], Sequence[int]]],
+    blocks: Iterable[Sequence[int]],
     n: int,
     roles: Sequence[LineRole],
+    rule: Callable[[list[int]], tuple[Sequence[int], Sequence[int]]],
 ) -> Circuit:
-    """The netlist on the lines of ``roles`` that plays, for each block
-    ``(states, pivots, controls)`` in turn, the conjugation that swaps
-    ``states`` in pairs: sigma and tail from ``conjugation_gates`` on data
-    lines ``1..n``, the CKNOT on ``controls`` and target ``pivots[0]``
-    negated where ``flips`` sets them, then the inverses
-    (``append_conjugation``). ``lower_cknots`` lowers the macro list on
-    helpers in ``helper_order(roles)``.
+    """The netlist on the lines of ``roles`` that swaps the states of each
+    block (2 or 4 of them) in pairs, block after block, with one
+    conjugated CKNOT per block.
+
+    A running frame holds L, the linear map of every CNOT emitted so far,
+    as n row masks: ``frame[i]`` holds the input bits whose XOR is output
+    bit i (line n - i). Each block's states are mapped through L, ``rule``
+    maps those images to the pivots and the centre's controls, and
+    ``conjugation_gates`` runs on the images. The block emits sigma, the
+    tail's form, the CKNOT on those controls and target ``pivots[0]``,
+    negated where ``flips`` sets them, and the inverse form. Swapping the
+    images of the states under sigma after L is the same as swapping the
+    states and then playing L and sigma, so sigma is not reversed: L takes
+    sigma on instead (a CNOT c -> t is ``frame[n - t] ^= frame[n - c]``),
+    and the netlist so far is every block's swap followed by L. After the
+    last block the ``frame_inverse`` CNOTs undo L. ``lower_cknots`` lowers
+    the macro list on helpers in ``helper_order(roles)``.
     """
+    frame = [1 << i for i in range(n)]
     gates: list[GateInstance] = []
-    for states, pivots, controls in blocks:
-        sigma, tail, flips = conjugation_gates(states, pivots, n)
-        centre = negated_centre(controls, pivots[0], flips, n)
-        append_conjugation(gates, sigma, centre, tail)
+    for states in blocks:
+        images = []
+        for s in states:
+            image = 0
+            for row in reversed(frame):
+                image = image << 1 | (row & s).bit_count() & 1
+            images.append(image)
+        pivots, controls = rule(images)
+        sigma, (forward, inverse), flips = conjugation_gates(images, pivots, n)
+        for _, (c, t) in sigma:
+            frame[n - t] ^= frame[n - c]
+        gates += sigma
+        gates += forward
+        gates.append(negated_centre(controls, pivots[0], flips, n))
+        gates += inverse
+    gates += frame_inverse(frame, n)
     table, order = lower_cknots(*gate_table(gates), helper_order(roles))
     return Circuit.from_table(len(roles), table, order, roles)
 
@@ -404,10 +452,11 @@ def synth_general(p: Permutation) -> Circuit:
 
     The extra line is borrowed: it may hold either value and is always
     restored. Each transposition (a b) of ``p``, in list order, is one
-    block of ``conjugated_netlist``: with t the first line where a and b
-    differ, sigma sends them, up to its NOT layer, to T - e_t and T, and
-    one full-width CKNOT on target t, controlled by every other data line,
-    swaps them. So the only wide gate per transposition is that CKNOT
+    block of ``conjugated_netlist``: with t the first line where the
+    images of a and b under the running frame differ, sigma sends those
+    images, up to its NOT layer, to T - e_t and T, and one full-width
+    CKNOT on target t, controlled by every other data line, swaps them.
+    So the only wide gate per transposition is that CKNOT
     (transformation-based synthesis in the style of Miller, Maslov and
     Dueck, DAC 2003). It borrows the extra line when lowered; the CNOTs
     borrow free data lines.
@@ -420,12 +469,12 @@ def synth_general(p: Permutation) -> Circuit:
         )
     lines = range(1, n + 1)
     controls = {t: [l for l in lines if l != t] for t in lines}
-    # a < b: every cycle starts at its smallest state.
-    blocks = (
-        ((a, b), (t,), controls[t])
-        for a, b in p.to_transpositions()
-        for t in [n + 1 - (a ^ b).bit_length()]
-    )
+
+    def rule(images: list[int]) -> tuple[tuple[int], list[int]]:
+        a, b = images
+        t = n + 1 - (a ^ b).bit_length()
+        return (t,), controls[t]
+
     return conjugated_netlist(
-        blocks, n, (LineRole.DATA,) * n + (LineRole.BORROWED,)
+        p.to_transpositions(), n, (LineRole.DATA,) * n + (LineRole.BORROWED,), rule
     )

@@ -1,7 +1,9 @@
 """Shared oracle builders for the test suite.
 
-Each oracle constructs the expected permutation directly from bit
-arithmetic, independently of the synthesis code under test.
+Each permutation oracle constructs the expected permutation directly from
+bit arithmetic, independently of the synthesis code under test.
+``conjugation_block`` is the gate-list oracle: the self-contained block
+that the VTOF routes' running frame replaces.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import random
 from revsynth.circuit import Circuit, GateInstance, GateKind
 from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation
+from revsynth.toffoli import conjugation_gates, negated_centre
 
 
 def cknot_permutation(
@@ -39,6 +42,16 @@ def ckswap_permutation(
                 x ^= (1 << (width - t1)) | (1 << (width - t2))
         mapping.append(x)
     return Permutation(width, mapping)
+
+
+def conjugation_block(states, pivots, controls, n: int) -> list[GateInstance]:
+    """The macro gates that swap ``states`` in pairs on their own, with no
+    frame: sigma and the tail's form from ``conjugation_gates``, the
+    centre on ``controls`` and target ``pivots[0]`` with the controls the
+    NOT layer sets negated, the inverse form, then sigma reversed."""
+    sigma, (forward, inverse), flips = conjugation_gates(states, pivots, n)
+    centre = negated_centre(controls, pivots[0], flips, n)
+    return [*sigma, *forward, centre, *inverse, *reversed(sigma)]
 
 
 def random_primitive_circuit(

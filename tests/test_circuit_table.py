@@ -127,10 +127,13 @@ def test_from_table_checks_width_and_roles_like_the_gate_list():
         Circuit.from_table(4, (V,), (0,), ("data", "data"))
     with pytest.raises(ValueError, match="'spare'"):
         Circuit.from_table(3, (V,), (0,), ("data", "data", "spare"))
-    # An index outside the table has no gate to play.
-    for order in ((2,), (0, 2)):
-        with pytest.raises(IndexError):
+    # An index outside the table has no gate to play; a negative one
+    # would wrap round to a real entry, so it is refused too.
+    for order in ((2,), (0, 2), (0, -1), (-2, 1, 0)):
+        with pytest.raises(ValueError, match=r"^gate order indices must lie in \[0, 1\]"):
             Circuit.from_table(4, (V, F), order)
+    with pytest.raises(ValueError, match=r"lie in \[0, -1\], got 0\.\.0$"):
+        Circuit.from_table(4, (), (0,))
 
 
 ROUTES = [

@@ -22,12 +22,10 @@ from revsynth.errors import OddPermutationError, WidthOutOfRangeError
 from revsynth.even import TokenPair, synth_even, synth_fused, synth_pair
 from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation, disjoint_pairs, sample_permutation
-from revsynth.toffoli import (
-    append_conjugation, conjugation_gates, negated_centre, synth_general,
-)
+from revsynth.toffoli import conjugation_gates, synth_general
 from revsynth.verify import verify_realizes
 
-from conftest import compose_runs
+from conftest import compose_runs, conjugation_block
 
 T1P, T2P = TransformToken.T1P, TransformToken.T2P
 M1, M2, M3, M4 = TokenPair.M1, TokenPair.M2, TokenPair.M3, TokenPair.M4
@@ -105,14 +103,9 @@ def test_disjoint_pairs_reject_odd_permutations():
 
 
 def pair_block(a: int, b: int, c: int, d: int, n: int) -> list:
-    """The gates ``synth_even`` emits for the pair (a b)(c d) on its own:
-    sigma, the tail's form, the centre with the controls the NOT layer
-    sets negated, the inverse form and sigma reversed."""
-    sigma, tail, flips = conjugation_gates((a, b, c, d), (n, n - 1, n - 2), n)
-    block: list = []
-    centre = negated_centre(range(1, n - 1), n, flips, n)
-    append_conjugation(block, sigma, centre, tail)
-    return block
+    """The pair (a b)(c d) as one ``conjugation_block`` with no frame, on
+    the pivots and centre controls of ``synth_even``."""
+    return conjugation_block((a, b, c, d), (n, n - 1, n - 2), range(1, n - 1), n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -271,7 +264,7 @@ def test_even_synthesis_verifies(width: int):
     # Medians over seeds 0-4. Frozen: a change in emitted size updates
     # these and the README's gate-count table together. The third column
     # is the median of the generator-token route this one replaced.
-    [(3, 58, 420), (4, 226, 3225), (5, 838, 33297), (6, 2882, 269912)],
+    [(3, 60, 420), (4, 168, 3225), (5, 618, 33297), (6, 2310, 269912)],
 )
 def test_even_synthesis_frozen_medians(width: int, median: int, token_route: int):
     counts = [

@@ -24,8 +24,8 @@ ROUTES = {
 }
 
 DIGESTS = {
-    "general": "146e9ab32f7d3724ea16ccd20b43c1485d985479d7b622108eaef9dc1acfd1b5",
-    "even": "7d5a59e3c4ea2a5bfad6b1082b2ec1733057c11813f3db20e021dafd4e3e7b5b",
+    "general": "2cb493f5e2576d2172dfef020d28ab0c08f7551fef235090a9dd5b47d570b88c",
+    "even": "7a66938fa0150c6ed91eaff502f01af0415360964ed6f0becf7412889d2f8d16",
     "conservative": "a4edc3635e189dc30465da203604387b7d9178242782c6d3f70503e30ef71461",
 }
 
@@ -65,7 +65,7 @@ WIDE_VTOF = tuple(
     (route, n, 0) for route in ("general", "even") for n in (6, 7, 8)
 )
 WIDE_VTOF_DIGEST = (
-    "d192a0719e19349f307c6c8925ad59d55f87137ed98ec36536f3bd127536dae2"
+    "68eedbc9aeef691e709674672a83575940daa33cfe59736d24234ce3f02964ca"
 )
 
 

@@ -24,12 +24,13 @@ from revsynth.errors import InsufficientLinesError, WidthOutOfRangeError
 from revsynth.even import synth_even
 from revsynth.expand import expand_macros
 from revsynth.generators import TransformToken
-from revsynth.permutation import Permutation, sample_permutation
+from revsynth.netlist import write_netlist
+from revsynth.permutation import Permutation, disjoint_pairs, sample_permutation
 from revsynth.toffoli import (
     NO_TAIL,
     TWISTED_TAILS,
-    append_conjugation,
     conjugation_gates,
+    frame_inverse,
     increment,
     negated_centre,
     synth_add_constant,
@@ -41,7 +42,7 @@ from revsynth.toffoli import (
 )
 from revsynth.verify import verify_realizes
 
-from conftest import cknot_permutation, compose_runs
+from conftest import cknot_permutation, compose_runs, conjugation_block
 
 
 def realized(width: int, gates) -> Permutation:
@@ -303,20 +304,15 @@ def full_width_centre(width: int, t: int):
     return cknot([l for l in range(1, width + 1) if l != t], t)
 
 
-def general_blocks(width: int, pairs) -> tuple[list, list]:
-    """The general route's macro list for ``pairs``, built as
-    ``synth_general`` builds it, and the same blocks uncancelled."""
+def general_blocks(width: int, pairs) -> list:
+    """The general route's macro list for ``pairs`` with no frame: one
+    ``conjugation_block`` per transposition, each undoing its own sigma."""
     gates: list = []
-    blocks: list = []
     for a, b in pairs:
         t = width + 1 - (a ^ b).bit_length()
-        sigma, tail, flips = conjugation_gates((min(a, b), max(a, b)), (t,), width)
-        assert tail == NO_TAIL
         controls = full_width_centre(width, t).controls
-        centre = negated_centre(controls, t, flips, width)
-        blocks += [*sigma, centre, *reversed(sigma)]
-        append_conjugation(gates, sigma, centre)
-    return gates, blocks
+        gates += conjugation_block((a, b), (t,), controls, width)
+    return gates
 
 
 def test_transposition_gates_cover_both_orders_and_every_pair():
@@ -339,47 +335,16 @@ def test_transposition_gates_cover_both_orders_and_every_pair():
                     controls = full_width_centre(width, t).controls
                     centre = negated_centre(controls, t, flips, width)
                     assert {abs(c) for c in centre.controls} == set(controls)
-                    gates: list = []
-                    append_conjugation(gates, sigma, centre)
+                    gates = conjugation_block((a, b), (t,), controls, width)
+                    assert gates == [*sigma, centre, *reversed(sigma)]
                     want = Permutation.from_cycle(width, (a, b))
                     assert realized(width, gates).mapping == want.mapping
 
 
-@pytest.mark.parametrize("width", [3, 4, 5, 6])
-def test_general_macro_is_one_wide_cknot_per_transposition(width: int, monkeypatch):
-    # The macro list is the one synth_general hands lower_cknots, as
-    # distinct macros plus an order.
-    handed = []
-    real = toffoli.lower_cknots
-
-    def spy(distinct, order, helpers):
-        handed.append(tuple(distinct[i] for i in order))
-        return real(distinct, order, helpers)
-
-    monkeypatch.setattr(toffoli, "lower_cknots", spy)
-    p = sample_permutation(width, "any", seed=width)
-    pairs = p.to_transpositions()
-    gates = tuple(general_blocks(width, pairs)[0])
-    netlist = synth_general(p)
-    assert handed == [gates]
-    assert all(g.kind is GateKind.CKNOT for g in gates)
-    wide = [g for g in gates if g.k == width - 1]
-    assert len(wide) == len(pairs)
-    # The wide gate spans every data line, leaving the borrowed line free;
-    # sigma's NOTs survive only as its negated controls.
-    assert all({abs(l) for l in g.lines} == set(range(1, width + 1)) for g in wide)
-    assert any(c < 0 for g in wide for c in g.controls)
-    assert all(g.k == 1 for g in gates if g.k != width - 1)
-    roles = (LineRole.DATA,) * width + (LineRole.BORROWED,)
-    macro = Circuit(width + 1, gates, roles=roles)
-    assert expand_macros(macro, "VTOF") == netlist
-
-
-@pytest.mark.parametrize("width", [3, 4, 5, 6])
-def test_vtof_macro_lists_cancel_where_blocks_meet(width: int, monkeypatch):
-    # Both routes hand their macro list to lower_cknots, as its distinct
-    # macros in first-seen order plus an order; catch it there, at the
-    # one binding the shared pipeline calls, and play it back.
+def handed_macros(monkeypatch) -> list:
+    """Every macro list the VTOF routes hand ``toffoli.lower_cknots``, as
+    its distinct macros in first-seen order plus an order, caught at the
+    one binding the shared pipeline calls and played back."""
     macros = []
     real = toffoli.lower_cknots
 
@@ -390,62 +355,218 @@ def test_vtof_macro_lists_cancel_where_blocks_meet(width: int, monkeypatch):
         return real(distinct, order, helpers)
 
     monkeypatch.setattr(toffoli, "lower_cknots", spy)
+    return macros
+
+
+def centreless(gates, k: int) -> list:
+    """``gates`` without its k-control CKNOT centres."""
+    return [g for g in gates if g.kind is not CKNOT or g.k != k]
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_general_macro_is_one_wide_cknot_per_transposition(width: int, monkeypatch):
+    handed = handed_macros(monkeypatch)
+    p = sample_permutation(width, "any", seed=width)
+    pairs = p.to_transpositions()
+    netlist = synth_general(p)
+    ((*gates,),) = handed
+    assert all(g.kind is GateKind.CKNOT for g in gates)
+    wide = [g for g in gates if g.k == width - 1]
+    assert len(wide) == len(pairs)
+    # The wide gate spans every data line, leaving the borrowed line free;
+    # sigma's NOTs survive only as its negated controls.
+    assert all({abs(l) for l in g.lines} == set(range(1, width + 1)) for g in wide)
+    assert any(c < 0 for g in wide for c in g.controls)
+    assert all(g.k == 1 for g in gates if g.k != width - 1)
+    # The macros realize p on the data lines, and the CNOTs alone (every
+    # sigma, then the final network) compose to the identity: the final
+    # network undoes the frame that the sigmas built.
+    assert realized(width, gates) == p
+    assert realized(width, centreless(gates, width - 1)).is_identity()
     roles = (LineRole.DATA,) * width + (LineRole.BORROWED,)
-    for seed in range(6):
+    macro = Circuit(width + 1, tuple(gates), roles=roles)
+    assert expand_macros(macro, "VTOF") == netlist
+
+
+@pytest.mark.parametrize("width", [4, 5, 6, 7])
+def test_frame_netlists_are_no_longer_than_per_block_netlists(
+    width: int, monkeypatch
+):
+    macros = handed_macros(monkeypatch)
+    pivots, controls = (width, width - 1, width - 2), range(1, width - 1)
+    for seed in range(5):
         macros.clear()
-        synth_even(sample_permutation(width, "even", seed))
+        q = sample_permutation(width, "even", seed)
         p = sample_permutation(width, "any", seed)
-        netlist = synth_general(p)
+        netlists = (synth_even(q), synth_general(p))
+        per_block = (
+            [g for ab, cd in disjoint_pairs(q.mapping)
+             for g in conjugation_block(ab + cd, pivots, controls, width)],
+            general_blocks(width, p.to_transpositions()),
+        )
         # One list per route, so the checks below never pass vacuously.
         assert len(macros) == 2 and all(macros), seed
-        for gates in macros:
-            # Equal VTOFs do not cancel, so only CKNOTs are checked.
+        for target, gates, netlist, blocks, k in zip(
+            (q, p), macros, netlists, per_block, (width - 2, width - 1)
+        ):
+            assert realized(width, gates) == target, seed
+            assert realized(width, blocks) == target, seed
+            # Without the centres, each twisted tail meets its inverse and
+            # the CNOTs compose to the identity.
+            assert realized(width, centreless(gates, k)).is_identity(), seed
+            # No two equal CKNOTs meet anywhere, so nothing is left for a
+            # cancellation pass; equal VTOFs do not cancel.
             assert all(g != h or g.kind is not CKNOT
                        for g, h in zip(gates, gates[1:])), seed
-        # The general netlist is no longer than its blocks uncancelled.
-        uncancelled = general_blocks(width, p.to_transpositions())[1]
-        whole = expand_macros(
-            Circuit(width + 1, tuple(uncancelled), roles=roles), "VTOF"
-        )
-        assert len(netlist.gates) <= len(whole.gates), seed
+            whole = expand_macros(
+                Circuit(netlist.width, tuple(blocks), roles=netlist.roles), "VTOF"
+            )
+            assert len(netlist.gates) <= len(whole.gates), seed
 
 
-def test_append_conjugation_keeps_equal_vtofs_at_the_seam():
-    # VTOF(1, 2, 3) commutes with the CNOT 1 -> 3, and three of it undo
-    # one, so the block is the CNOT. Twice in a row it is a CNOT, not the
-    # identity: the gate that ends the list and the equal one that starts
-    # the block must both stay.
-    g = vtof(1, 2, 3)
-    centre = cknot((1,), 3)
-    gates = [g]
-    append_conjugation(gates, [], centre, ((g,), (g, g, g)))
-    assert gates == [g, g, centre, g, g, g]
-    want = realized(3, [g, centre])
-    assert realized(3, gates) == want
-    assert realized(3, gates[2:]) != want
+def one_twisted_pair(n: int, seed: int):
+    """An even target on n lines that is one disjoint pair (a b)(c d) with
+    a^b^c^d nonzero, and its states in ``disjoint_pairs`` order."""
+    rng = random.Random(seed)
+    while True:
+        a, b, c, d = rng.sample(range(1 << n), 4)
+        if a ^ b ^ c ^ d:
+            break
+    mapping = list(range(1 << n))
+    mapping[a], mapping[b], mapping[c], mapping[d] = b, a, d, c
+    p = Permutation(n, mapping)
+    ((ab, cd),) = disjoint_pairs(p.mapping)
+    return p, ab + cd
 
 
-def test_append_conjugation_keeps_a_trailing_vtof():
-    # With x, y, z = 2, 3, 4, VTOF(x, y, z) commutes with the centre on
-    # controls 1, x and target z: both only XOR into z, from lines neither
-    # writes. Its mirror is its inverse, three of it, so leaving out the
-    # form and the inverse as a commuting pair would be wrong.
-    x, y, z = 2, 3, 4
-    g = vtof(x, y, z)
-    centre = cknot((1, x), z)
-    assert realized(4, [g, centre]) == realized(4, [centre, g])
-    gates: list = []
-    append_conjugation(gates, [], centre, ((g,), (g, g, g)))
-    assert gates == [g, centre, g, g, g]
-    assert realized(4, gates) == realized(4, [centre])
-    assert realized(4, [centre, g, g]) != realized(4, [centre])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_twisted_block_is_emitted_whole_then_the_final_network(n: int, monkeypatch):
+    # One block: sigma, the tail's form, the centre and the inverse form,
+    # none of them dropped or merged, then the CNOTs that undo sigma. The
+    # form is a VTOF list, which is not its own inverse, so it must be
+    # played whole on both sides of the centre.
+    macros = handed_macros(monkeypatch)
+    pivots, controls = (n, n - 1, n - 2), range(1, n - 1)
+    for seed in range(4):
+        macros.clear()
+        p, states = one_twisted_pair(n, seed)
+        c = synth_even(p)
+        assert verify_realizes(c, p).passed, seed
+        sigma, (forward, inverse), flips = conjugation_gates(states, pivots, n)
+        assert forward and inverse, seed
+        centre = negated_centre(controls, n, flips, n)
+        frame = [1 << i for i in range(n)]
+        for g in sigma:
+            ctl, tgt = g.lines
+            frame[n - tgt] ^= frame[n - ctl]
+        undo = frame_inverse(frame, n)
+        assert macros == [(*sigma, *forward, centre, *inverse, *undo)], seed
+        assert realized(n, (*sigma, *undo)).is_identity(), seed
+
+
+def test_twisted_tails_are_emitted_whole_around_every_centre(monkeypatch):
+    # On random even targets each centre sits between one TWISTED_TAILS
+    # form and its own inverse, or between two CNOTs, and no VTOF is
+    # emitted anywhere else: tails are never split, dropped or merged
+    # with a neighbouring block's. From n = 4 a centre has more controls
+    # than a CNOT, so it can be told apart from sigma.
+    macros = handed_macros(monkeypatch)
+    total = 0
+    for n in (4, 5, 6, 7):
+        tails = {tail for tail, _ in toffoli._twisted_tails(n - 2, n - 1, n)}
+        for seed in range(4):
+            macros.clear()
+            p = sample_permutation(n, "even", seed)
+            twisted = sum(
+                bool(a ^ b ^ c ^ d) for (a, b), (c, d) in disjoint_pairs(p.mapping)
+            )
+            synth_even(p)
+            ((*gates,),) = macros
+            centres = [i for i, g in enumerate(gates) if g.kind is CKNOT and g.k == n - 2]
+            found = vtofs = 0
+            for i in centres:
+                before = next(
+                    (j for j in range(i - 1, -1, -1) if gates[j].kind is CKNOT), -1
+                )
+                after = next(
+                    (j for j in range(i + 1, len(gates)) if gates[j].kind is CKNOT),
+                    len(gates),
+                )
+                tail = (tuple(gates[before + 1:i]), tuple(gates[i + 1:after]))
+                if tail != ((), ()):
+                    assert tail in tails, (n, seed, i)
+                    found += 1
+                vtofs += len(tail[0]) + len(tail[1])
+            assert found == twisted, (n, seed)
+            assert vtofs == sum(g.kind is GateKind.VTOF for g in gates), (n, seed)
+            total += found
+    assert total > 0
+
+
+def random_invertible(n: int, rng: random.Random) -> list[int]:
+    """Row masks of a random invertible n x n matrix over GF(2): a random
+    matrix kept only when its rows reduce to full rank."""
+    while True:
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        basis: dict[int, int] = {}
+        for v in rows:
+            while v and v.bit_length() - 1 in basis:
+                v ^= basis[v.bit_length() - 1]
+            if not v:
+                break
+            basis[v.bit_length() - 1] = v
+        else:
+            return rows
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_final_network_undoes_any_invertible_frame(n: int):
+    # The emitted CNOTs, played after the linear map whose row masks are
+    # ``frame``, leave the identity: replayed as row additions on the
+    # masks, and at n <= 6 on every state of the map's permutation.
+    assert frame_inverse([1 << i for i in range(n)], n) == []
+    rng = random.Random(n)
+    for _ in range(20):
+        frame = random_invertible(n, rng)
+        gates = frame_inverse(frame, n)
+        assert all(g.kind is CKNOT and g.k == 1 and g.controls[0] > 0 for g in gates)
+        assert len(gates) <= n * n
+        rows = list(frame)
+        for g in gates:
+            c, t = g.lines
+            rows[n - t] ^= rows[n - c]
+        assert rows == [1 << i for i in range(n)], frame
+        if n <= 6:
+            linear = Permutation(n, [
+                sum(((row & s).bit_count() & 1) << i for i, row in enumerate(frame))
+                for s in range(1 << n)
+            ])
+            assert linear.then(realized(n, gates)).is_identity(), frame
+
+
+def test_cknot_lowering_is_kept_per_line_tuple():
+    lines = [-1, 2, -3, 4, 5, 6]
+    gates = synth_cknot(4, lines)
+    assert synth_cknot(4, tuple(lines)) == gates
+    assert synth_cknot(3, range(1, 6)) == synth_cknot(3, [1, 2, 3, 4, 5])
+    assert synth_cknot(3, range(1, 6)) == synth_cknot(3, (1, 2, 3, 4, 5))
+    assert toffoli._cknot_gates.cache_info().maxsize == 4096
+    # A warm cache and a cold one emit the same bytes on both VTOF routes.
+    targets = (
+        (synth_general, sample_permutation(6, "any", seed=2)),
+        (synth_even, sample_permutation(6, "even", seed=2)),
+    )
+    warm = [write_netlist(synth(p)) for synth, p in targets]
+    toffoli._cknot_gates.cache_clear()
+    assert toffoli._cknot_gates.cache_info().currsize == 0
+    assert [write_netlist(synth(p)) for synth, p in targets] == warm
 
 
 @pytest.mark.parametrize(
     "width, count",
     # Seed 0 at each width. Frozen: a change in emitted size updates these
     # and the README's gate-count table together.
-    [(3, 28), (4, 336), (5, 1688), (6, 7080)],
+    [(3, 28), (4, 292), (5, 1604), (6, 6866)],
 )
 def test_general_synthesis_frozen_counts(width: int, count: int):
     p = sample_permutation(width, "any", seed=0)

@@ -129,7 +129,7 @@ def test_from_table_checks_width_and_roles_like_the_gate_list():
         Circuit.from_table(3, (V,), (0,), ("data", "data", "spare"))
     # An index outside the table has no gate to play; a negative one
     # would wrap round to a real entry, so it is refused too.
-    for order in ((2,), (0, 2), (0, -1), (-2, 1, 0)):
+    for order in ((2,), (0, 2), (0, -1), (-2, 1, 0), (1, -3)):
         with pytest.raises(ValueError, match=r"^gate order indices must lie in \[0, 1\]"):
             Circuit.from_table(4, (V, F), order)
     with pytest.raises(ValueError, match=r"lie in \[0, -1\], got 0\.\.0$"):

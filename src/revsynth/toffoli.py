@@ -34,9 +34,9 @@ netlist's order make the one ``Circuit`` returned
 (``Circuit.from_table``): no macro circuit is built, and the lowered
 gates are hashed once per distinct block, not once per emitted gate.
 ``expand.expand_macros`` lowers VTOF macro netlists with ``lower_cknots``
-too. Two tables serve the whole process, each built on first use: the
-CNOT macros of each width (``_cnot_table``), and each CKNOT lowering per
-line tuple (``_cknot_gates``, under the public ``synth_cknot``).
+too. Each CKNOT lowering is kept per line tuple for the whole process
+(``_cknot_gates``, under the public ``synth_cknot``), so a centre that
+recurs across targets is lowered once.
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -140,17 +140,19 @@ def synth_cknot(k: int, lines: Sequence[int]) -> tuple[GateInstance, ...]:
     at ``k = 1`` it makes the CNOT 6 gates instead of 2.
 
     The lowering is kept per line tuple (``_cknot_gates``), so a repeated
-    macro costs one lookup after its first call.
+    macro costs one lookup after its first call and makes no recursive
+    call.
     """
     return _cknot_gates(k, tuple(lines))
 
 
-# An entry holds one reference per gate plus its two join Toffolis (the
-# child's gates are the child's own entry): about 4.5 KB for the C^7NOT
-# centre of a general n=8 netlist, of which one target lowers about 130.
+# An entry is T(k) gate references, 8 * T(k) bytes: about 30 KB at k = 10.
+# Few distinct lowerings occur: one general compile of a random target
+# left 83 entries (0.2 MB) at n = 8 and 247 (2.3 MB) at n = 11, a
+# compile whose peak RSS was about 200 MB.
 @functools.lru_cache(maxsize=4096)
 def _cknot_gates(k: int, lines: tuple[int, ...]) -> tuple[GateInstance, ...]:
-    """``synth_cknot`` on a line tuple; the child recurses through here."""
+    """``synth_cknot`` on a line tuple; the child is asked of ``synth_cknot``."""
     if k < 0:
         raise ValueError(f"control count must be nonnegative, got {k}")
     if len(lines) < k + 1:
@@ -176,7 +178,7 @@ def _cknot_gates(k: int, lines: tuple[int, ...]) -> tuple[GateInstance, ...]:
         )
     x = free[0]
     peeled = controls[-1]
-    child = _cknot_gates(
+    child = synth_cknot(
         k - 1, (*controls[:-1], x, abs(peeled), target, *free[1:])
     )
     join = synth_ccnot(peeled, x, target)
@@ -267,14 +269,6 @@ TWISTED_TAILS = (
 )
 
 
-@functools.cache
-def _cnot_table(n: int) -> tuple[tuple[GateInstance, ...], ...]:
-    """Entry [c][t] is the CNOT macro from state bit c to state bit t on
-    ``n`` data lines (line l is bit n - l), built on first use per width;
-    the diagonal entries are never played."""
-    return tuple(tuple(cnot(n - c, n - t) for t in range(n)) for c in range(n))
-
-
 Tail = tuple[tuple[GateInstance, ...], tuple[GateInstance, ...]]
 NO_TAIL: Tail = ((), ())
 
@@ -327,7 +321,6 @@ def conjugation_gates(
     {T-3, T-2}, one pair each, in either order.
     """
     gates: list[GateInstance] = []
-    cnots = _cnot_table(n)
     a = states[0]
     rows = [a ^ s for s in states[1:]]
     if len(rows) == 3 and not rows[0] ^ rows[1] ^ rows[2]:  # a^b^c^d == 0
@@ -336,7 +329,7 @@ def conjugation_gates(
     def cnot_bits(control: int, target: int) -> None:
         # Bit i of a state is line n - i.
         nonlocal a
-        gates.append(cnots[control][target])
+        gates.append(cnot(n - control, n - target))
         for r, v in enumerate(rows):
             rows[r] = v ^ (v >> control & 1) << target
         a ^= (a >> control & 1) << target
@@ -384,19 +377,18 @@ def frame_inverse(frame: Sequence[int], n: int) -> list[GateInstance]:
         for row in reversed(frame):
             column = column << 1 | row >> j & 1
         columns.append(column)
-    cnots = _cnot_table(n)
     gates: list[GateInstance] = []
     for j in range(n):
         bit = 1 << j
         if not columns[j] & bit:
             c = next(c for c in range(j + 1, n) if columns[c] & bit)
             columns[j] ^= columns[c]
-            gates.append(cnots[j][c])
+            gates.append(cnot(n - j, n - c))
         pivot = columns[j]
         for c, column in enumerate(columns):
             if column & bit and c != j:
                 columns[c] = column ^ pivot
-                gates.append(cnots[c][j])
+                gates.append(cnot(n - c, n - j))
     gates.reverse()
     return gates
 

@@ -1,17 +1,21 @@
 """Even-permutation synthesis on exactly n lines, no extra inputs.
 
-An even permutation is a product of pairs of disjoint transpositions
-(``permutation.disjoint_pairs``). Each pair ``(a b)(c d)`` is one block
-of ``toffoli.conjugated_netlist``: one C^(n-2)NOT on controls 1..n-2 and
-target n, which swaps T-3 with T-2 and T-1 with T (T = 2**n - 1),
-conjugated by a CNOT list sigma with pivot lines n, n-1, n-2 that sends
-the images of a, b under the pipeline's running linear frame onto T-1, T
-and those of c, d onto T-3, T-2 (either way round, through a twisted
-tail, when a^b^c^d is nonzero). The pivots and controls are the same for
-every pair. sigma is not reversed; the frame takes it on, and one CNOT
-network after the last pair undoes the frame. Line n-1 is the one line
-that C^(n-2)NOT leaves free, so its lowering borrows it, each CNOT
-borrows a data line it leaves free, and the width never grows.
+``toffoli.conjugated_netlist`` writes the target p as an affine map A
+after q = A^-1 . p. For n >= 3 every CNOT and NOT is an even
+permutation, so q is even when p is. An even permutation is a product
+of pairs of disjoint transpositions (``permutation.disjoint_pairs``).
+Each pair ``(a b)(c d)`` of q is one block of the pipeline: one
+C^(n-2)NOT on controls 1..n-2 and target n, which swaps T-3 with T-2
+and T-1 with T (T = 2**n - 1), conjugated by a CNOT list sigma with
+pivot lines n, n-1, n-2 that sends the images of a, b under the
+pipeline's running linear frame onto T-1, T and those of c, d onto
+T-3, T-2 (either way round, through a twisted tail, when a^b^c^d is
+nonzero). The pivots and controls are the same for every pair. sigma
+is not reversed; the frame takes it on, and one CNOT network after the
+last pair undoes the frame and applies A's linear part, followed by
+one NOT per set bit of A's constant. Line n-1 is the one line that
+C^(n-2)NOT leaves free, so its lowering borrows it, each CNOT borrows a
+data line it leaves free, and the width never grows.
 
 The paper's own generator argument survives as line-exact fragments that
 ``synth_even`` does not call: ``synth_pair`` realizes each adjacent pair
@@ -89,9 +93,12 @@ def synth_pair(pair: TokenPair, n: int) -> Circuit:
 
 def synth_even(p: Permutation) -> Circuit:
     """Compile an even permutation to a VTOF netlist on exactly its own
-    width: no ancilla, no borrowed lines. Each disjoint pair is one
-    conjugated C^(n-2)NOT, on the same pivots and controls whatever the
-    pair's images; its lowering borrows free data lines.
+    width: no ancilla, no borrowed lines. ``conjugated_netlist`` fits an
+    affine map A(x) = Mx ^ c to ``p``; each disjoint pair of q = A^-1 . p
+    is one conjugated C^(n-2)NOT, on the same pivots and controls whatever
+    the pair's images, and its lowering borrows free data lines. The final
+    network undoes L.M^-1 and the NOTs of c follow, each lowered on two
+    free data lines. Parity is checked on ``p``; q has the same.
     """
     n = p.width
     if not EVEN_MIN_WIDTH <= n <= MAX_WIDTH:
@@ -101,5 +108,7 @@ def synth_even(p: Permutation) -> Circuit:
     if not p.is_even():
         raise OddPermutationError("permutation is odd")
     centre = (n, n - 1, n - 2), range(1, n - 1)
-    blocks = (ab + cd for ab, cd in disjoint_pairs(p.mapping))
-    return conjugated_netlist(blocks, n, (LineRole.DATA,) * n, lambda _: centre)
+    return conjugated_netlist(
+        p.mapping, n, (LineRole.DATA,) * n, lambda _: centre,
+        lambda q: (ab + cd for ab, cd in disjoint_pairs(q)),
+    )

@@ -8,35 +8,41 @@ on all n lines, used by the token-pair fragments in ``even``), and
 ``synth_add_constant``, which adds any constant.
 
 Both VTOF routes compile by conjugation (Shende, Prasad, Markov and
-Hayes, IEEE TCAD 2003), through one pipeline, ``conjugated_netlist``. Each
-block names 2 or 4 states; a per-route rule names the pivot lines and the
-centre's controls. ``conjugation_gates`` builds a CNOT list sigma, and
-the NOT layer ``flips`` that would end it, which carry the two states of
-a transposition, or the four of a pair of disjoint transpositions, onto
-states that one wide multi-controlled NOT swaps. The NOT layer is folded
-into that gate instead of being emitted: ``negated_centre`` negates each
-control it flips. A quadruple whose XOR is nonzero also gets a short VTOF
-form on lines n-2..n, which puts its four states where that gate swaps
-them, and the form's exact inverse (``TWISTED_TAILS``). sigma is linear,
-so it is not reversed after its centre: the pipeline keeps a running
-frame, the linear map of every CNOT emitted so far, maps each block's
-states through it before ``conjugation_gates`` runs, and after the last
-block emits one CNOT network (``frame_inverse``, Gauss-Jordan) that
-undoes the frame. ``synth_general`` gives one block per transposition of
-the target, with a full-width CKNOT; ``even.synth_even`` one per pair,
-with a C^(n-2)NOT. The pipeline splits the macro list into distinct
-macros plus an order (``circuit.gate_table``) and passes both to
-``lower_cknots``, which lowers each distinct CKNOT once with
-``synth_cknot`` on the helper lines of ``circuit.helper_order`` that it
-leaves free, and, through ``circuit.lower_table``, numbers the gates of
-its block once into a table of distinct netlist gates. That table and the
-netlist's order make the one ``Circuit`` returned
-(``Circuit.from_table``): no macro circuit is built, and the lowered
-gates are hashed once per distinct block, not once per emitted gate.
-``expand.expand_macros`` lowers VTOF macro netlists with ``lower_cknots``
-too. Each CKNOT lowering is kept per line tuple for the whole process
-(``_cknot_gates``, under the public ``synth_cknot``), so a centre that
-recurs across targets is lowered once.
+Hayes, IEEE TCAD 2003), through one pipeline, ``conjugated_netlist``. It
+first factors the target p as an affine map A(x) = Mx ^ c after a
+permutation q (``affine_fit``: the fit on the best of n + 1 base points,
+kept only if q then fixes more states than p does), and compiles q in
+blocks. Each block names 2 or 4 states; a per-route rule names the pivot
+lines and the centre's controls. ``conjugation_gates`` builds a CNOT
+list sigma, and the NOT layer ``flips`` that would end it, which carry
+the two states of a transposition, or the four of a pair of disjoint
+transpositions, onto states that one wide multi-controlled NOT swaps.
+The NOT layer is folded into that gate instead of being emitted:
+``negated_centre`` negates each control it flips. A quadruple whose XOR
+is nonzero also gets a short VTOF form on lines n-2..n, which puts its
+four states where that gate swaps them, and the form's exact inverse
+(``TWISTED_TAILS``). sigma is linear, so it is not reversed after its
+centre: the pipeline keeps a running frame, the linear map of every CNOT
+emitted so far, maps each block's states through it before
+``conjugation_gates`` runs, and after the last block emits one CNOT
+network (``frame_inverse``, Gauss-Jordan) that undoes the frame and
+applies M, then one NOT per set bit of c. Affine targets (the Gray code,
+bit permutations, XOR with a constant) so need no block at all.
+``synth_general`` gives one block per transposition of q, with a
+full-width CKNOT; ``even.synth_even`` one per pair, with a C^(n-2)NOT. The
+pipeline splits the macro list into distinct macros plus an order
+(``circuit.gate_table``) and passes both to ``lower_cknots``, which
+lowers each distinct CKNOT once with ``synth_cknot`` on the helper lines
+of ``circuit.helper_order`` that it leaves free, and, through
+``circuit.lower_table``, numbers the gates of its block once into a
+table of distinct netlist gates. That table and the netlist's order make
+the one ``Circuit`` returned (``Circuit.from_table``): no macro circuit
+is built, and the lowered gates are hashed once per distinct block, not
+once per emitted gate. ``expand.expand_macros`` lowers VTOF macro
+netlists with ``lower_cknots`` too. Each CKNOT lowering is kept per line
+tuple for the whole process (``_cknot_gates``, under the public
+``synth_cknot``), so a centre that recurs across targets is lowered
+once.
 
 The helper lines these fragments take are value-independent: every fragment
 restores each helper for both of its start values, which is what lets a
@@ -46,18 +52,19 @@ single extra line serve the whole netlist.
 from __future__ import annotations
 
 import functools
+from operator import xor
 from typing import Callable, Iterable, Sequence
 
 from .circuit import (
     CKNOT, VTOF, Circuit, GateInstance, LineRole, cknot, cnot, gate_table,
-    helper_order, lower_table, unused_lines, vtof,
+    helper_order, lower_table, not_gate, unused_lines, vtof,
 )
 from .errors import (
     InsufficientLinesError, UnexpandableMacroError, WidthOutOfRangeError,
 )
 # Unused here, but perfbench/tracer.py patches this binding and requires it.
 from .generators import decompose_generators  # noqa: F401
-from .permutation import Permutation
+from .permutation import Permutation, transpositions
 
 GENERAL_MIN_WIDTH = 3
 GENERAL_MAX_WIDTH = 15
@@ -361,7 +368,8 @@ def negated_centre(
 
 def frame_inverse(frame: Sequence[int], n: int) -> list[GateInstance]:
     """CNOT macros that undo the linear map ``frame`` on lines ``1..n``:
-    at most n**2 CNOTs, none for the identity.
+    at most n**2 CNOTs, none for the identity. ``conjugated_netlist``
+    passes L.M^-1, so the CNOTs undo its running frame L and apply M.
 
     ``frame[i]`` is a row mask: output bit i (line n - i) of the map is
     the XOR of the input bits it holds. Gauss-Jordan elimination reduces
@@ -393,15 +401,50 @@ def frame_inverse(frame: Sequence[int], n: int) -> list[GateInstance]:
     return gates
 
 
+def affine_fit(mapping: Sequence[int], n: int) -> tuple[list[int], int]:
+    """The affine map A(x) = Mx ^ c, as the image table of M and c, that
+    agrees with the permutation ``mapping`` of n bits on the most states,
+    or the identity table and 0 when none agrees on more states than
+    ``mapping`` fixes.
+
+    It tries n + 1 base points b: 0, then the unit vectors e_j from bit j = 0
+    (line n) up. The fit on b agrees with p = ``mapping`` at b and at each
+    b ^ e_j: column j of M is p(b ^ e_j) ^ p(b), and c = p(b) ^ Mb. M's
+    table is built by doubling, and the states where p(x) == Mx ^ c are
+    counted with list operations, O(2**n) per base. The first base that
+    agrees on the most states wins, if M is invertible. A non-identity
+    affine map fixes at most 2**(n-1) states, so a single transposition
+    never gets a fit from n = 3, and the identity keeps the identity.
+    """
+    size = 1 << n
+    best = list(map(xor, mapping, range(size))).count(0)
+    fit = list(range(size)), 0
+    units = [1 << j for j in range(n)]
+    for b in (0, *units):
+        pb = mapping[b]
+        table = [0]
+        for e in units:
+            column = mapping[b ^ e] ^ pb
+            table += [t ^ column for t in table]
+        c = pb ^ table[b]
+        agree = list(map(xor, mapping, table)).count(c)
+        if agree > best and len(set(table)) == size:
+            best, fit = agree, (table, c)
+    return fit
+
+
 def conjugated_netlist(
-    blocks: Iterable[Sequence[int]],
+    mapping: Sequence[int],
     n: int,
     roles: Sequence[LineRole],
     rule: Callable[[list[int]], tuple[Sequence[int], Sequence[int]]],
+    blocks: Callable[[list[int]], Iterable[Sequence[int]]],
 ) -> Circuit:
-    """The netlist on the lines of ``roles`` that swaps the states of each
-    block (2 or 4 of them) in pairs, block after block, with one
-    conjugated CKNOT per block.
+    """The netlist on the lines of ``roles`` that realizes the permutation
+    ``mapping`` of n bits as an affine map A(x) = Mx ^ c after q, where A
+    is the ``affine_fit`` of ``mapping`` and q = A^-1 . p. Each block of
+    ``blocks(q)`` (2 or 4 states) swaps its states in pairs, block after
+    block, with one conjugated CKNOT per block.
 
     A running frame holds L, the linear map of every CNOT emitted so far,
     as n row masks: ``frame[i]`` holds the input bits whose XOR is output
@@ -413,13 +456,18 @@ def conjugated_netlist(
     images of the states under sigma after L is the same as swapping the
     states and then playing L and sigma, so sigma is not reversed: L takes
     sigma on instead (a CNOT c -> t is ``frame[n - t] ^= frame[n - c]``),
-    and the netlist so far is every block's swap followed by L. After the
-    last block the ``frame_inverse`` CNOTs undo L. ``lower_cknots`` lowers
-    the macro list on helpers in ``helper_order(roles)``.
+    and the netlist so far is q followed by L. After the last block the
+    ``frame_inverse`` CNOTs of L.M^-1 realize M.L^-1, which undoes L and
+    applies M, and one NOT on each line of c follows. For n >= 3 each CNOT
+    and NOT is an even permutation, so q has the parity of ``mapping``.
+    ``lower_cknots`` lowers the macro list, NOTs included, on helpers in
+    ``helper_order(roles)``.
     """
+    m_table, c = affine_fit(mapping, n)
+    m_inverse = sorted(range(1 << n), key=m_table.__getitem__)
     frame = [1 << i for i in range(n)]
     gates: list[GateInstance] = []
-    for states in blocks:
+    for states in blocks([m_inverse[y ^ c] for y in mapping]):
         images = []
         for s in states:
             image = 0
@@ -428,13 +476,20 @@ def conjugated_netlist(
             images.append(image)
         pivots, controls = rule(images)
         sigma, (forward, inverse), flips = conjugation_gates(images, pivots, n)
-        for _, (c, t) in sigma:
-            frame[n - t] ^= frame[n - c]
+        for _, (ctl, t) in sigma:
+            frame[n - t] ^= frame[n - ctl]
         gates += sigma
         gates += forward
         gates.append(negated_centre(controls, pivots[0], flips, n))
         gates += inverse
-    gates += frame_inverse(frame, n)
+    # Bit j of row i of L.M^-1 is the parity of row i of L and column j
+    # of M^-1.
+    columns = [m_inverse[1 << j] for j in range(n)]
+    gates += frame_inverse([
+        sum(((row & col).bit_count() & 1) << j for j, col in enumerate(columns))
+        for row in frame
+    ], n)
+    gates += (not_gate(n - i) for i in range(n) if c >> i & 1)
     table, order = lower_cknots(*gate_table(gates), helper_order(roles))
     return Circuit.from_table(len(roles), table, order, roles)
 
@@ -443,15 +498,17 @@ def synth_general(p: Permutation) -> Circuit:
     """Compile any permutation to a VTOF netlist on ``width + 1`` lines.
 
     The extra line is borrowed: it may hold either value and is always
-    restored. Each transposition (a b) of ``p``, in list order, is one
-    block of ``conjugated_netlist``: with t the first line where the
+    restored. ``conjugated_netlist`` fits an affine map A to ``p`` and
+    compiles q = A^-1 . p. Each transposition (a b) of q, in list order,
+    is one block: with t the first line where the
     images of a and b under the running frame differ, sigma sends those
     images, up to its NOT layer, to T - e_t and T, and one full-width
     CKNOT on target t, controlled by every other data line, swaps them.
     So the only wide gate per transposition is that CKNOT
     (transformation-based synthesis in the style of Miller, Maslov and
     Dueck, DAC 2003). It borrows the extra line when lowered; the CNOTs
-    borrow free data lines.
+    borrow free data lines. The final network undoes L.M^-1 and the NOTs
+    of c follow, so an affine ``p`` costs at most n**2 CNOTs and n NOTs.
     """
     n = p.width
     if not GENERAL_MIN_WIDTH <= n <= GENERAL_MAX_WIDTH:
@@ -467,6 +524,5 @@ def synth_general(p: Permutation) -> Circuit:
         t = n + 1 - (a ^ b).bit_length()
         return (t,), controls[t]
 
-    return conjugated_netlist(
-        p.to_transpositions(), n, (LineRole.DATA,) * n + (LineRole.BORROWED,), rule
-    )
+    roles = (LineRole.DATA,) * n + (LineRole.BORROWED,)
+    return conjugated_netlist(p.mapping, n, roles, rule, transpositions)

@@ -2,8 +2,10 @@
 
 Each permutation oracle constructs the expected permutation directly from
 bit arithmetic, independently of the synthesis code under test.
-``conjugation_block`` is the gate-list oracle: the self-contained block
-that the VTOF routes' running frame replaces.
+``random_invertible`` draws the linear maps that the final-network and
+affine-fit tests feed in, and ``fitted`` splits a target as the VTOF
+pipeline does. ``conjugation_block`` is the gate-list oracle: the
+self-contained block that the VTOF routes' running frame replaces.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from revsynth.circuit import Circuit, GateInstance, GateKind
 from revsynth.generators import TransformToken
 from revsynth.permutation import Permutation
-from revsynth.toffoli import conjugation_gates, negated_centre
+from revsynth.toffoli import affine_fit, conjugation_gates, negated_centre
 
 
 def cknot_permutation(
@@ -52,6 +54,30 @@ def conjugation_block(states, pivots, controls, n: int) -> list[GateInstance]:
     sigma, (forward, inverse), flips = conjugation_gates(states, pivots, n)
     centre = negated_centre(controls, pivots[0], flips, n)
     return [*sigma, *forward, centre, *inverse, *reversed(sigma)]
+
+
+def random_invertible(n: int, rng: random.Random) -> list[int]:
+    """Row masks of a random invertible n x n matrix over GF(2): a random
+    matrix kept only when its rows reduce to full rank."""
+    while True:
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        basis: dict[int, int] = {}
+        for v in rows:
+            while v and v.bit_length() - 1 in basis:
+                v ^= basis[v.bit_length() - 1]
+            if not v:
+                break
+            basis[v.bit_length() - 1] = v
+        else:
+            return rows
+
+
+def fitted(p: Permutation) -> tuple[Permutation, Permutation]:
+    """The ``affine_fit`` A of ``p`` and q = A^-1 . p, the target whose
+    blocks the VTOF routes emit: q then A is ``p``."""
+    table, c = affine_fit(p.mapping, p.width)
+    affine = Permutation(p.width, [t ^ c for t in table])
+    return affine, p.then(affine.inverse())
 
 
 def random_primitive_circuit(

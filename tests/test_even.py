@@ -264,7 +264,7 @@ def test_even_synthesis_verifies(width: int):
     # Medians over seeds 0-4. Frozen: a change in emitted size updates
     # these and the README's gate-count table together. The third column
     # is the median of the generator-token route this one replaced.
-    [(3, 60, 420), (4, 168, 3225), (5, 618, 33297), (6, 2310, 269912)],
+    [(3, 38, 420), (4, 111, 3225), (5, 482, 33297), (6, 2046, 269912)],
 )
 def test_even_synthesis_frozen_medians(width: int, median: int, token_route: int):
     counts = [

@@ -24,8 +24,8 @@ ROUTES = {
 }
 
 DIGESTS = {
-    "general": "2cb493f5e2576d2172dfef020d28ab0c08f7551fef235090a9dd5b47d570b88c",
-    "even": "7a66938fa0150c6ed91eaff502f01af0415360964ed6f0becf7412889d2f8d16",
+    "general": "78220102797440da31197c3965b557ed6d2ee33992fe057beb49d462a5317f9a",
+    "even": "281878449b92221b2d09cbe04020205bcb3178406c06b66b35f4118856d74a45",
     "conservative": "a4edc3635e189dc30465da203604387b7d9178242782c6d3f70503e30ef71461",
 }
 
@@ -65,7 +65,7 @@ WIDE_VTOF = tuple(
     (route, n, 0) for route in ("general", "even") for n in (6, 7, 8)
 )
 WIDE_VTOF_DIGEST = (
-    "68eedbc9aeef691e709674672a83575940daa33cfe59736d24234ce3f02964ca"
+    "8beb54753b2e36510992319dca1efcbee7045df3718f8af75a24a2ddc9e5c016"
 )
 
 

@@ -44,7 +44,9 @@ from revsynth.toffoli import (
 )
 from revsynth.verify import verify_realizes
 
-from conftest import cknot_permutation, compose_runs, conjugation_block
+from conftest import (
+    cknot_permutation, compose_runs, conjugation_block, fitted, random_invertible,
+)
 
 
 def realized(width: int, gates) -> Permutation:
@@ -369,22 +371,25 @@ def centreless(gates, k: int) -> list:
 def test_general_macro_is_one_wide_cknot_per_transposition(width: int, monkeypatch):
     handed = handed_macros(monkeypatch)
     p = sample_permutation(width, "any", seed=width)
-    pairs = p.to_transpositions()
+    affine, q = fitted(p)
+    assert not affine.is_identity()
     netlist = synth_general(p)
     ((*gates,),) = handed
     assert all(g.kind is GateKind.CKNOT for g in gates)
     wide = [g for g in gates if g.k == width - 1]
-    assert len(wide) == len(pairs)
+    assert len(wide) == len(q.to_transpositions())
     # The wide gate spans every data line, leaving the borrowed line free;
-    # sigma's NOTs survive only as its negated controls.
+    # sigma's NOTs survive only as its negated controls. At width 3 the
+    # fitted q is the one transposition (5 6), whose images need no NOT.
     assert all({abs(l) for l in g.lines} == set(range(1, width + 1)) for g in wide)
-    assert any(c < 0 for g in wide for c in g.controls)
-    assert all(g.k == 1 for g in gates if g.k != width - 1)
-    # The macros realize p on the data lines, and the CNOTs alone (every
-    # sigma, then the final network) compose to the identity: the final
-    # network undoes the frame that the sigmas built.
+    assert any(c < 0 for g in wide for c in g.controls) or width == 3
+    assert all(g.k in (0, 1) for g in gates if g.k != width - 1)
+    # The macros realize p on the data lines, and the CNOTs and NOTs alone
+    # (every sigma, then the final network and the NOTs of c) compose to
+    # the fitted A: the final network undoes the frame that the sigmas
+    # built, then applies A.
     assert realized(width, gates) == p
-    assert realized(width, centreless(gates, width - 1)).is_identity()
+    assert realized(width, centreless(gates, width - 1)) == affine
     roles = (LineRole.DATA,) * width + (LineRole.BORROWED,)
     macro = Circuit(width + 1, tuple(gates), roles=roles)
     assert expand_macros(macro, "VTOF") == netlist
@@ -414,14 +419,16 @@ def test_frame_netlists_are_no_longer_than_per_block_netlists(
             assert realized(width, gates) == target, seed
             assert realized(width, blocks) == target, seed
             # Without the centres, each twisted tail meets its inverse and
-            # the CNOTs compose to the identity.
-            assert realized(width, centreless(gates, k)).is_identity(), seed
+            # the CNOTs and NOTs compose to the fitted A. Even n=3 centres
+            # are CNOTs, so there the NOTs of c are all that is left.
+            affine, _ = fitted(target)
+            if k == 1:
+                affine = Permutation(width, [x ^ affine(0) for x in range(1 << width)])
+            assert realized(width, centreless(gates, k)) == affine, seed
             # No two equal CKNOTs meet anywhere, so nothing is left for a
             # cancellation pass; equal VTOFs do not cancel.
             assert all(g != h or g.kind is not CKNOT
                        for g, h in zip(gates, gates[1:])), seed
-            if width == 3 and target is q:
-                continue  # even n=3 may grow: its final network is not free
             whole = expand_macros(
                 Circuit(netlist.width, tuple(blocks), roles=netlist.roles), "VTOF"
             )
@@ -430,15 +437,19 @@ def test_frame_netlists_are_no_longer_than_per_block_netlists(
 
 def one_twisted_pair(n: int, seed: int):
     """An even target on n lines that is one disjoint pair (a b)(c d) with
-    a^b^c^d nonzero, and its states in ``disjoint_pairs`` order."""
+    a^b^c^d nonzero and no affine fit, and its states in
+    ``disjoint_pairs`` order. From n = 4 no such pair has a fit: it fixes
+    2**n - 4 states, and a non-identity affine map agrees with it on at
+    most 2**(n-1) + 4."""
     rng = random.Random(seed)
     while True:
         a, b, c, d = rng.sample(range(1 << n), 4)
-        if a ^ b ^ c ^ d:
+        mapping = list(range(1 << n))
+        mapping[a], mapping[b], mapping[c], mapping[d] = b, a, d, c
+        p = Permutation(n, mapping)
+        if a ^ b ^ c ^ d and fitted(p)[0].is_identity():
             break
-    mapping = list(range(1 << n))
-    mapping[a], mapping[b], mapping[c], mapping[d] = b, a, d, c
-    p = Permutation(n, mapping)
+        assert n == 3, (a, b, c, d)
     ((ab, cd),) = disjoint_pairs(p.mapping)
     return p, ab + cd
 
@@ -481,8 +492,9 @@ def test_twisted_tails_are_emitted_whole_around_every_centre(monkeypatch):
         for seed in range(4):
             macros.clear()
             p = sample_permutation(n, "even", seed)
+            _, q = fitted(p)
             twisted = sum(
-                bool(a ^ b ^ c ^ d) for (a, b), (c, d) in disjoint_pairs(p.mapping)
+                bool(a ^ b ^ c ^ d) for (a, b), (c, d) in disjoint_pairs(q.mapping)
             )
             synth_even(p)
             ((*gates,),) = macros
@@ -505,22 +517,6 @@ def test_twisted_tails_are_emitted_whole_around_every_centre(monkeypatch):
             assert vtofs == sum(g.kind is GateKind.VTOF for g in gates), (n, seed)
             total += found
     assert total > 0
-
-
-def random_invertible(n: int, rng: random.Random) -> list[int]:
-    """Row masks of a random invertible n x n matrix over GF(2): a random
-    matrix kept only when its rows reduce to full rank."""
-    while True:
-        rows = [rng.getrandbits(n) for _ in range(n)]
-        basis: dict[int, int] = {}
-        for v in rows:
-            while v and v.bit_length() - 1 in basis:
-                v ^= basis[v.bit_length() - 1]
-            if not v:
-                break
-            basis[v.bit_length() - 1] = v
-        else:
-            return rows
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -603,7 +599,7 @@ def test_traced_cknot_calls_count_distinct_macros_cold_or_warm(monkeypatch):
     "width, count",
     # Seed 0 at each width. Frozen: a change in emitted size updates these
     # and the README's gate-count table together.
-    [(3, 28), (4, 292), (5, 1604), (6, 6866)],
+    [(3, 24), (4, 170), (5, 1192), (6, 6004)],
 )
 def test_general_synthesis_frozen_counts(width: int, count: int):
     p = sample_permutation(width, "any", seed=0)

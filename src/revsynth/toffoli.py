@@ -500,15 +500,15 @@ def synth_general(p: Permutation) -> Circuit:
     The extra line is borrowed: it may hold either value and is always
     restored. ``conjugated_netlist`` fits an affine map A to ``p`` and
     compiles q = A^-1 . p. Each transposition (a b) of q, in list order,
-    is one block: with t the first line where the
-    images of a and b under the running frame differ, sigma sends those
-    images, up to its NOT layer, to T - e_t and T, and one full-width
-    CKNOT on target t, controlled by every other data line, swaps them.
-    So the only wide gate per transposition is that CKNOT
-    (transformation-based synthesis in the style of Miller, Maslov and
-    Dueck, DAC 2003). It borrows the extra line when lowered; the CNOTs
-    borrow free data lines. The final network undoes L.M^-1 and the NOTs
-    of c follow, so an affine ``p`` costs at most n**2 CNOTs and n NOTs.
+    is one block: with t the first line where the images of a and b under
+    the running frame differ, sigma sends those images, up to its NOT
+    layer, to T - e_t and T, and one full-width CKNOT on target t,
+    controlled by every other data line, swaps them. So the only wide gate
+    per transposition is that CKNOT (transformation-based synthesis in the
+    style of Miller, Maslov and Dueck, DAC 2003). It borrows the extra
+    line when lowered; the CNOTs borrow free data lines. The final network
+    undoes L.M^-1 and the NOTs of c follow, so an affine ``p`` costs at
+    most n**2 CNOTs and n NOTs.
     """
     n = p.width
     if not GENERAL_MIN_WIDTH <= n <= GENERAL_MAX_WIDTH:
